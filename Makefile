@@ -2,9 +2,10 @@
 # a full build, the race-enabled test suite (checking the concurrency
 # claims of internal/obs and the sharded fault simulator), the plain
 # tier-1 suite, the parallel-vs-serial differential suite under both a
-# single-core and a multi-core scheduler, short native-fuzz smokes, the
-# checkpoint/resume kill-and-restart smoke (in both fault-simulation
-# modes), the chaos sweep (every checkpoint I/O operation
+# single-core and a multi-core scheduler, the service/dispatch suites
+# repeated under the race detector (ordering flakes fail the gate),
+# short native-fuzz smokes, the checkpoint/resume kill-and-restart
+# smoke, the chaos sweep (every checkpoint I/O operation
 # failure-injected in turn), the performance-observability smoke
 # (profiles, ledger, regression gate), the committed-bench
 # pattern-parallel speedup gate, the campaign-service smoke (a real
@@ -15,9 +16,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race tier1 paradiff fuzz cksmoke chaos perfsmoke tracesmoke benchgate servesmoke chaosdispatch dispatchsmoke bench benchall
+.PHONY: ci vet build test race tier1 paradiff racerepeat fuzz cksmoke chaos perfsmoke tracesmoke benchgate servesmoke chaosdispatch dispatchsmoke bench benchall
 
-ci: vet build race tier1 paradiff fuzz cksmoke chaos perfsmoke tracesmoke benchgate servesmoke chaosdispatch dispatchsmoke
+ci: vet build race tier1 paradiff racerepeat fuzz cksmoke chaos perfsmoke tracesmoke benchgate servesmoke chaosdispatch dispatchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -43,6 +44,13 @@ paradiff:
 	GOMAXPROCS=1 $(GO) test -race -run Parallel -count=1 -short ./internal/fsim ./internal/baseline ./internal/core
 	GOMAXPROCS=4 $(GO) test -race -run Parallel -count=1 ./internal/fsim ./internal/baseline ./internal/core
 
+# racerepeat runs the campaign-service and distributed-dispatch suites
+# 20 times under the race detector: their publish-before-side-effect
+# orderings (a job visible as done before its ledger row, say) fail
+# only on unlucky schedules, so one pass is not evidence.
+racerepeat:
+	$(GO) test -race -count=20 ./internal/service ./internal/dispatch
+
 # fuzz runs the native fuzz targets briefly: long enough to exercise the
 # mutator beyond the checked-in corpus, short enough for a CI gate.
 fuzz:
@@ -54,8 +62,7 @@ fuzz:
 
 # cksmoke interrupts a real checkpointed limscan process with SIGINT,
 # resumes it, and requires the final report to match an uninterrupted
-# run byte for byte — once per fault-simulation mode, plus a cross-mode
-# comparison of the straight reports.
+# run byte for byte.
 cksmoke:
 	sh scripts/checkpoint_smoke.sh
 

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	faultsim -circuit s298 -n 32 -len 16 [-seed 1] [-undetected] [-classify]
-//	faultsim -circuit s1423 -mode pattern-parallel        # pack patterns, not faults (same report)
 //	faultsim -circuit s1423 -progress -metrics out.json
 //	faultsim -circuit s1423 -debug-addr :6060             # /metrics + pprof while running
 //	faultsim -circuit s1423 -profile-dir prof             # session CPU/heap/alloc profiles
@@ -79,7 +78,6 @@ func main() {
 		classify   = flag.Bool("classify", false, "ATPG-classify undetected faults")
 		estimate   = flag.Bool("estimate", false, "print STAFAN detection-probability estimates for undetected faults")
 		trans      = flag.Bool("trans", false, "simulate the transition (gross-delay) fault universe instead of stuck-at")
-		mode       = flag.String("mode", "fault-parallel", "fault-simulation lane packing: fault-parallel or pattern-parallel (results are identical; pattern-parallel is stuck-at only)")
 		progress   = flag.Bool("progress", false, "stream per-batch progress to stderr")
 		metrics    = flag.String("metrics", "", "write the simulation metrics registry as JSON to this file at exit (\"-\" for stdout)")
 		workers    = flag.Int("workers", 0, "fault-simulation worker goroutines (0 = GOMAXPROCS; results are identical at any count)")
@@ -110,15 +108,6 @@ func main() {
 	}
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "faultsim: -workers must be >= 0 (got %d; zero means GOMAXPROCS)\n", *workers)
-		os.Exit(errs.ExitUsage)
-	}
-	simMode, merr := fsim.ParseMode(*mode)
-	if merr != nil {
-		fmt.Fprintf(os.Stderr, "faultsim: %v\n", merr)
-		os.Exit(errs.ExitUsage)
-	}
-	if *trans && simMode != fsim.FaultParallel {
-		fmt.Fprintln(os.Stderr, "faultsim: -trans requires fault-parallel mode (pattern-parallel packs stuck-at faults only)")
 		os.Exit(errs.ExitUsage)
 	}
 	c, err := bmark.Load(*name)
@@ -201,7 +190,7 @@ func main() {
 	defer stopSignals()
 
 	start := time.Now()
-	opts := fsim.Options{Obs: o, EmitBatchEvents: *progress, Workers: *workers, Mode: simMode, Trace: tracer}
+	opts := fsim.Options{Obs: o, EmitBatchEvents: *progress, Workers: *workers, Trace: tracer}
 	var st fsim.RunStats
 	// One "session" span brackets the whole simulation: it is what gives
 	// -profile-dir a capture window (fsim.Run itself uses the quiet

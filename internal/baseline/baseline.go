@@ -24,7 +24,6 @@ import (
 	"limscan/internal/circuit"
 	"limscan/internal/errs"
 	"limscan/internal/fault"
-	"limscan/internal/fsim"
 	"limscan/internal/lfsr"
 	"limscan/internal/logic"
 	"limscan/internal/obs"
@@ -55,11 +54,6 @@ type Config struct {
 	// (batches partition the remaining faults; detections merge in batch
 	// order).
 	Workers int
-	// Mode exists so CLIs can pass their -mode flag through uniformly,
-	// but the baseline simulator is its own multi-chain kernel with no
-	// pattern-parallel variant: Run rejects fsim.PatternParallel with an
-	// explicit error rather than silently measuring the wrong thing.
-	Mode fsim.Mode
 }
 
 func (c Config) withDefaults() Config {
@@ -188,9 +182,6 @@ func Run(c *circuit.Circuit, fs *fault.Set, cfg Config) (Result, error) {
 	}
 	if cfg.LA < 1 || cfg.LB < 1 {
 		return Result{}, fmt.Errorf("baseline: test lengths must be positive")
-	}
-	if cfg.Mode != fsim.FaultParallel {
-		return Result{}, fmt.Errorf("baseline: the multi-chain baseline simulator has no %v mode (it packs faults, not patterns); drop -mode for baseline runs", cfg.Mode)
 	}
 	s := New(c, cfg.MaxChainLen)
 

@@ -76,11 +76,6 @@ type Config struct {
 	// runner's SetWorkers value, and from there to GOMAXPROCS. Results
 	// are byte-identical at any worker count.
 	Workers int
-	// Mode selects the fault-simulation lane packing for every run of
-	// the campaign (see fsim.Options.Mode). The zero value is
-	// fault-parallel; pattern-parallel is byte-identical and faster on
-	// multi-test sessions, but requires full scan and stuck-at faults.
-	Mode fsim.Mode
 }
 
 // newSource builds the configured random source for a given seed. An
@@ -134,9 +129,6 @@ func (c Config) Validate() error {
 		if _, err := lfsr.NewSource(c.LFSRDegree, 1); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-	}
-	if err := (fsim.Options{Mode: c.Mode}).Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0 (got %d; zero means GOMAXPROCS)", c.Workers)
@@ -351,9 +343,6 @@ type Runner struct {
 	// when a Config carries none (and by the cfg-less entry points:
 	// TopOff, CoverageCurve).
 	workers int
-	// mode is the fault-simulation lane packing used when Config.Mode is
-	// left at the zero value (see SetMode).
-	mode fsim.Mode
 }
 
 // SetObserver attaches a campaign observer to every run the runner
@@ -395,20 +384,6 @@ func (r *Runner) fsimWorkers(cfg Config) int {
 		return cfg.Workers
 	}
 	return r.workers
-}
-
-// SetMode sets the fault-simulation lane packing for every run the
-// runner executes (see fsim.Options.Mode). A Config.Mode, if not
-// fault-parallel, takes precedence for that run. Campaign results are
-// byte-identical in either mode.
-func (r *Runner) SetMode(m fsim.Mode) { r.mode = m }
-
-// fsimMode resolves the effective simulation mode for a run.
-func (r *Runner) fsimMode(cfg Config) fsim.Mode {
-	if cfg.Mode != fsim.FaultParallel {
-		return cfg.Mode
-	}
-	return r.mode
 }
 
 // NewRunner returns a full-scan Runner for the circuit.

@@ -25,7 +25,7 @@ func (r *Runner) CoverageCurve(tests []scan.Test, fs *fault.Set) ([]CurvePoint, 
 	var out []CurvePoint
 	var detected int
 	for i := range tests {
-		st, err := r.sim.Run(tests[i:i+1], fs, fsim.Options{Obs: r.obs, Workers: r.workers, Mode: r.mode, Trace: r.tracer})
+		st, err := r.sim.Run(tests[i:i+1], fs, fsim.Options{Obs: r.obs, Workers: r.workers, Trace: r.tracer})
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"limscan/internal/bmark"
 	"limscan/internal/checkpoint"
 	"limscan/internal/circuit"
-	"limscan/internal/fsim"
 	"limscan/internal/obs"
 )
 
@@ -220,92 +219,13 @@ func TestResumeMetaMismatch(t *testing.T) {
 		}
 	}
 
-	// Observer, Workers and Mode are execution knobs, not identity:
-	// changing them must NOT invalidate the snapshot.
+	// Observer and Workers are execution knobs, not identity: changing
+	// them must NOT invalidate the snapshot.
 	ok := cfg
 	ok.Workers = 2
 	ok.Observer = obs.New(nil, nil)
-	ok.Mode = fsim.PatternParallel
 	if _, err := NewRunner(c).ResumeWithContext(context.Background(), ok, snap, nil); err != nil {
-		t.Errorf("snapshot rejected for changed Workers/Observer/Mode: %v", err)
-	}
-}
-
-// TestCampaignModeInvariant is the campaign-level mode differential: a
-// full Procedure 2 run under the pattern-parallel fault simulator must
-// produce the identical Result — every pair, curve point, cycle total
-// and completeness flag — as the fault-parallel default.
-func TestCampaignModeInvariant(t *testing.T) {
-	for _, name := range resumeCircuits(t) {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			c := loadBmark(t, name)
-			spec, _ := bmark.Info(name)
-			cfg := resumeConfig(spec.Seed)
-			want, err := NewRunner(c).RunProcedure2(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pp := cfg
-			pp.Mode = fsim.PatternParallel
-			got, err := NewRunner(c).RunProcedure2(pp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Results carry their Config; neutralize the knob before the
-			// field-by-field comparison.
-			got.Config.Mode = fsim.FaultParallel
-			sameResult(t, "pattern-parallel campaign", got, want)
-		})
-	}
-}
-
-// TestResumeCrossMode: a checkpoint written under one fault-simulation
-// mode resumes under the other (the snapshot carries no mode — it is an
-// execution knob, not identity) and still converges to the
-// uninterrupted result.
-func TestResumeCrossMode(t *testing.T) {
-	c := loadBmark(t, "s298")
-	spec, _ := bmark.Info("s298")
-	cfg := resumeConfig(spec.Seed)
-	want, err := NewRunner(c).RunProcedure2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []struct {
-		label       string
-		first, then fsim.Mode
-	}{
-		{"pp-then-fp", fsim.PatternParallel, fsim.FaultParallel},
-		{"fp-then-pp", fsim.FaultParallel, fsim.PatternParallel},
-	} {
-		path := filepath.Join(t.TempDir(), "ck.json")
-		ctx, cancel := context.WithCancel(context.Background())
-		start := cfg
-		start.Mode = dir.first
-		start.Observer = obs.New(nil, sinkFunc(func(e obs.Event) {
-			if e.Kind == obs.KindCheckpoint {
-				cancel()
-			}
-		}))
-		_, err := NewRunner(c).RunWithContext(ctx, start, &CheckpointOptions{Path: path})
-		cancel()
-		var ie *InterruptedError
-		if !errors.As(err, &ie) {
-			t.Fatalf("%s: err = %v, want *InterruptedError", dir.label, err)
-		}
-		snap, err := checkpoint.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest := cfg
-		rest.Mode = dir.then
-		got, err := NewRunner(c).ResumeWithContext(context.Background(), rest, snap, nil)
-		if err != nil {
-			t.Fatalf("%s: resume: %v", dir.label, err)
-		}
-		got.Config.Mode = fsim.FaultParallel
-		sameResult(t, dir.label, got, want)
+		t.Errorf("snapshot rejected for changed Workers/Observer: %v", err)
 	}
 }
 

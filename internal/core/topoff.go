@@ -67,7 +67,7 @@ func (r *Runner) TopOff(fs *fault.Set) (*TopOffResult, error) {
 		pi, si := cube.Concretize(0)
 		tt := scan.Test{SI: si, T: []logic.Vec{pi}}
 		// Simulate immediately so fault dropping prunes later targets.
-		st, err := r.sim.Run([]scan.Test{tt}, fs, fsim.Options{Obs: r.obs, Workers: r.workers, Mode: r.mode, Trace: r.tracer})
+		st, err := r.sim.Run([]scan.Test{tt}, fs, fsim.Options{Obs: r.obs, Workers: r.workers, Trace: r.tracer})
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +118,7 @@ func (r *Runner) TopOffTransitions(fs *fault.Set) (*TopOffResult, error) {
 		}
 		state, v0, v1 := cube.Concretize(0)
 		tt := scan.Test{SI: state, T: []logic.Vec{v0, v1}}
-		st, err := r.sim.Run([]scan.Test{tt}, fs, fsim.Options{Obs: r.obs, Workers: r.workers, Mode: r.mode, Trace: r.tracer})
+		st, err := r.sim.Run([]scan.Test{tt}, fs, fsim.Options{Obs: r.obs, Workers: r.workers, Trace: r.tracer})
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ type SessionRef struct {
 // and config that own it, the reference naming it, the already-generated
 // tests, the live fault set to fold detections into, and the exact
 // fsim.Options the in-process path would have used (Ctx, Obs, Trace,
-// Workers, Mode).
+// Workers).
 type SessionRequest struct {
 	Runner  *Runner
 	Config  Config
@@ -71,7 +71,7 @@ func (r *Runner) SetSessionRunner(sr SessionRunner) { r.sessions = sr }
 // runSession executes one session through the seam: the configured
 // SessionRunner if any, the in-process simulator otherwise.
 func (r *Runner) runSession(ctx context.Context, cfg Config, ref SessionRef, tests []scan.Test, fs *fault.Set, o *obs.Campaign) (fsim.RunStats, error) {
-	opts := fsim.Options{Obs: o, Workers: r.fsimWorkers(cfg), Mode: r.fsimMode(cfg), Ctx: ctx, Trace: r.tracer}
+	opts := fsim.Options{Obs: o, Workers: r.fsimWorkers(cfg), Ctx: ctx, Trace: r.tracer}
 	if r.sessions != nil {
 		return r.sessions.RunSession(SessionRequest{
 			Runner: r, Config: cfg, Session: ref, Tests: tests, Faults: fs, Options: opts,
@@ -86,6 +86,14 @@ func (r *Runner) runSession(ctx context.Context, cfg Config, ref SessionRef, tes
 // the tests), so workers never report time-like quantities.
 func (r *Runner) SessionCycles(tests []scan.Test) int64 {
 	return scan.CostModel{NSV: r.plan.Len()}.SessionCycles(tests)
+}
+
+// SessionKernel returns the fault-simulation kernel the runner's
+// simulator picks for tests against the remaining faults of fs under
+// opts (see fsim.Simulator.Kernel), so a SessionRunner can report the
+// kernel its units ran.
+func (r *Runner) SessionKernel(tests []scan.Test, fs *fault.Set, opts fsim.Options) fsim.Mode {
+	return r.sim.Kernel(tests, fs, opts)
 }
 
 // DefaultUnitFaults is the fault count of one work unit: the checkpoint
@@ -118,7 +126,6 @@ type UnitSpec struct {
 	ReseedPerTest bool   `json:"reseed_per_test,omitempty"`
 	UseLFSR       bool   `json:"use_lfsr,omitempty"`
 	LFSRDegree    int    `json:"lfsr_degree,omitempty"`
-	Mode          int    `json:"mode,omitempty"`
 
 	Session SessionRef `json:"session"`
 
@@ -193,7 +200,6 @@ func DeriveUnits(req SessionRequest, keyPrefix string, chunk int) []UnitSpec {
 		ReseedPerTest: req.Config.ReseedPerTest,
 		UseLFSR:       req.Config.UseLFSR,
 		LFSRDegree:    req.Config.LFSRDegree,
-		Mode:          int(req.Options.Mode),
 		Session:       req.Session,
 		Attrib:        req.Options.Obs != nil && req.Options.MISRDegree == 0,
 	}
@@ -265,7 +271,6 @@ func ExecUnitLocal(req SessionRequest, spec UnitSpec) (*UnitResult, error) {
 	}
 	opts := fsim.Options{
 		Workers: req.Options.Workers,
-		Mode:    fsim.Mode(spec.Mode),
 		Ctx:     req.Options.Ctx,
 	}
 	if spec.Attrib {
@@ -337,7 +342,7 @@ func (u *UnitRunner) Run(spec UnitSpec) (*UnitResult, error) {
 		}
 		sub.State[fi] = fault.Undetected
 	}
-	opts := fsim.Options{Workers: 1, Mode: fsim.Mode(spec.Mode)}
+	opts := fsim.Options{Workers: 1}
 	if spec.Attrib {
 		opts.Obs = obs.New(obs.NewRegistry(), nil)
 	}

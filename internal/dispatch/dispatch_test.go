@@ -28,7 +28,10 @@ func synthResult(key string) *core.UnitResult {
 }
 
 // harness runs RunUnits on a background goroutine and hands the test
-// the coordinator plus a done channel carrying the outcome.
+// the coordinator plus a done channel carrying the outcome. The named
+// workers register before RunUnits starts: registered any later, the
+// first pump can find no live worker and run every unit locally before
+// the test leases anything.
 type harness struct {
 	d    *Coordinator
 	clk  *fakeClock
@@ -41,13 +44,18 @@ type runOutcome struct {
 	err     error
 }
 
-func newHarness(t *testing.T, opts Options, units []core.UnitSpec, local func(core.UnitSpec) (*core.UnitResult, error)) *harness {
+func newHarness(t *testing.T, opts Options, units []core.UnitSpec, local func(core.UnitSpec) (*core.UnitResult, error), workers ...string) *harness {
 	t.Helper()
 	clk := newFakeClock()
 	reg := obs.NewRegistry()
 	opts.Clock = clk
 	opts.Obs = obs.New(reg, nil)
 	h := &harness{d: New(opts), clk: clk, reg: reg, done: make(chan runOutcome, 1)}
+	for _, w := range workers {
+		if _, err := h.d.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	if local == nil {
@@ -97,10 +105,7 @@ func mustLease(t *testing.T, h *harness, worker string) LeaseGrant {
 // TestLeaseCompleteHappyPath: one worker drains every unit; results come
 // back in unit order regardless of completion order.
 func TestLeaseCompleteHappyPath(t *testing.T) {
-	h := newHarness(t, Options{}, synthUnits(3), nil)
-	if _, err := h.d.Register("w1"); err != nil {
-		t.Fatal(err)
-	}
+	h := newHarness(t, Options{}, synthUnits(3), nil, "w1")
 	var grants []LeaseGrant
 	for i := 0; i < 3; i++ {
 		grants = append(grants, mustLease(t, h, "w1"))
@@ -139,9 +144,8 @@ func TestLeaseCompleteHappyPath(t *testing.T) {
 // result and heartbeat are rejected with Conflict and counted as
 // fenced.
 func TestExpiryFencesZombie(t *testing.T) {
-	h := newHarness(t, Options{LeaseTTL: time.Second, BackoffBase: 100 * time.Millisecond}, synthUnits(1), nil)
-	h.d.Register("zombie")
-	h.d.Register("healthy")
+	h := newHarness(t, Options{LeaseTTL: time.Second, BackoffBase: 100 * time.Millisecond}, synthUnits(1), nil,
+		"zombie", "healthy")
 	g := mustLease(t, h, "zombie")
 
 	// Let the lease rot. The pump reaps it and bumps the epoch.
@@ -153,22 +157,23 @@ func TestExpiryFencesZombie(t *testing.T) {
 		t.Fatalf("zombie heartbeat: %v, want Conflict", err)
 	}
 
-	// The healthy worker picks it up (after backoff) at a higher epoch
-	// and completes it.
+	// The healthy worker picks it up (after backoff) at a higher epoch.
 	g2 := mustLease(t, h, "healthy")
 	if g2.Epoch <= g.Epoch {
 		t.Fatalf("re-grant epoch %d not above original %d", g2.Epoch, g.Epoch)
 	}
-	if acc, err := h.d.Complete("healthy", g2.Spec.Key, g2.Epoch, synthResult(g2.Spec.Key)); err != nil || !acc {
-		t.Fatalf("healthy complete: accepted=%v err=%v", acc, err)
-	}
 
-	// The zombie's late result is fenced.
+	// The zombie's late result is fenced. It arrives while the unit set
+	// is still active: once the healthy result completes the set,
+	// RunUnits tears it down and any late delivery is NotFound.
 	if _, err := h.d.Complete("zombie", g.Spec.Key, g.Epoch, synthResult(g.Spec.Key)); !errs.Is(err, errs.Conflict) {
 		t.Fatalf("zombie result: %v, want Conflict", err)
 	}
 	if n := h.counter("dispatch_fenced_total"); n < 1 {
 		t.Errorf("fenced_total = %d, want >= 1", n)
+	}
+	if acc, err := h.d.Complete("healthy", g2.Spec.Key, g2.Epoch, synthResult(g2.Spec.Key)); err != nil || !acc {
+		t.Fatalf("healthy complete: accepted=%v err=%v", acc, err)
 	}
 
 	out := h.wait(t)
@@ -180,8 +185,7 @@ func TestExpiryFencesZombie(t *testing.T) {
 // TestHeartbeatExtendsLease: regular heartbeats keep a lease alive far
 // past its original TTL.
 func TestHeartbeatExtendsLease(t *testing.T) {
-	h := newHarness(t, Options{LeaseTTL: time.Second}, synthUnits(1), nil)
-	h.d.Register("w1")
+	h := newHarness(t, Options{LeaseTTL: time.Second}, synthUnits(1), nil, "w1")
 	g := mustLease(t, h, "w1")
 	for i := 0; i < 10; i++ {
 		h.clk.Advance(500 * time.Millisecond)
@@ -204,8 +208,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 // TestDuplicateDeliveryIsIdempotent: redelivering an accepted result is
 // acknowledged (no error) but not re-applied, and counted.
 func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
-	h := newHarness(t, Options{}, synthUnits(2), nil)
-	h.d.Register("w1")
+	h := newHarness(t, Options{}, synthUnits(2), nil, "w1")
 	g := mustLease(t, h, "w1")
 	if acc, err := h.d.Complete("w1", g.Spec.Key, g.Epoch, synthResult(g.Spec.Key)); err != nil || !acc {
 		t.Fatalf("first delivery: accepted=%v err=%v", acc, err)
@@ -260,8 +263,7 @@ func TestMaxAttemptsFallsBackLocally(t *testing.T) {
 		LeaseTTL: time.Second, MaxAttempts: 2,
 		BackoffBase: 100 * time.Millisecond, BackoffMax: 200 * time.Millisecond,
 		WorkerTTL: time.Hour, // the crashy worker stays "live" to keep the fleet path open
-	}, synthUnits(1), nil)
-	h.d.Register("crashy")
+	}, synthUnits(1), nil, "crashy")
 	for i := 0; i < 2; i++ {
 		mustLease(t, h, "crashy") // lease and abandon
 		advanceUntil(t, h.clk, func() bool { return h.counter("dispatch_expired_total") == int64(i+1) },
@@ -290,8 +292,7 @@ func TestWorkerLostAndRejoin(t *testing.T) {
 			<-blockLocal
 			unitsDone <- struct{}{}
 			return synthResult(spec.Key), nil
-		})
-	h.d.Register("flaky")
+		}, "flaky")
 	// Silence: the worker never leases. Once it crosses the horizon the
 	// coordinator declares it lost and the unit goes local.
 	advanceUntil(t, h.clk, func() bool { return h.counter("dispatch_workers_lost_total") == 1 },
@@ -354,18 +355,15 @@ func TestSecondRunUnitsRejected(t *testing.T) {
 	d.Register("w1") // keep units pending (live worker, no local fallback)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		d.RunUnits(ctx, synthUnits(1), nil)
-	}()
-	<-started
-	var second error
+	go d.RunUnits(ctx, synthUnits(1), nil)
+	// Wait until the first set is active (its unit is leasable): a
+	// second RunUnits issued before that would itself become the active
+	// set and block forever.
 	advanceUntil(t, clk, func() bool {
-		_, second = d.RunUnits(context.Background(), synthUnits(1), nil)
-		return second != nil
+		_, ok, _ := d.Lease("w1")
+		return ok
 	}, 10*time.Millisecond, time.Hour)
-	if second == nil {
+	if _, err := d.RunUnits(context.Background(), synthUnits(1), nil); err == nil {
 		t.Fatal("second RunUnits accepted")
 	}
 }

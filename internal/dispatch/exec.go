@@ -39,6 +39,10 @@ func (e *CampaignExec) RunSession(req core.SessionRequest) (fsim.RunStats, error
 	prefix := fmt.Sprintf("%s/s%d.i%d.d%d", e.Prefix, e.seq.Add(1), req.Session.I, req.Session.D1)
 	units := core.DeriveUnits(req, prefix, e.Chunk)
 
+	// The kernel every unit of this session picks (the choice ignores
+	// the fault count, so units agree with each other and with an
+	// in-process run).
+	kernel := req.Runner.SessionKernel(req.Tests, req.Faults, req.Options)
 	tr := req.Options.Trace
 	var runStart time.Duration
 	if tr != nil {
@@ -76,15 +80,13 @@ func (e *CampaignExec) RunSession(req core.SessionRequest) (fsim.RunStats, error
 	if tr != nil {
 		tr.Track(trace.MainTrack).Add(trace.CatRun, trace.SpanRun, runStart, tr.Now()-runStart,
 			trace.KV{K: "units", V: int64(len(units))},
-			trace.KV{K: "batches", V: int64(stats.Batches)},
-			trace.KV{K: "mode", V: int64(req.Options.Mode)})
+			trace.KV{K: "mode", V: int64(kernel)})
 	}
 	fleetMain.Track(trace.MainTrack).Add(trace.CatRun, trace.SpanRun, fleetStart, fleetMain.Now()-fleetStart,
 		trace.KV{K: "units", V: int64(len(units))},
-		trace.KV{K: "batches", V: int64(stats.Batches)},
-		trace.KV{K: "mode", V: int64(req.Options.Mode)})
+		trace.KV{K: "mode", V: int64(kernel)})
 	if o := req.Options.Obs; o != nil {
-		o.Gauge("fsim_mode").Set(float64(req.Options.Mode))
+		o.Gauge("fsim_mode").Set(float64(kernel))
 		o.Counter("fsim_runs_total").Inc()
 		o.Counter("fsim_tests_total").Add(int64(len(req.Tests)))
 		o.Counter("fsim_batches_total").Add(int64(stats.Batches))

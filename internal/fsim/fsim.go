@@ -38,25 +38,23 @@ const LanesPerWord = 63
 
 // Options tunes a simulation run.
 type Options struct {
-	// Mode selects the lane packing: FaultParallel (the zero value)
-	// replays the session once per 63-fault batch; PatternParallel packs
-	// up to PatternsPerPass tests per lane word and propagates one fault
-	// at a time as a difference against a shared fault-free trace. Both
-	// modes produce byte-identical RunStats, fault states and site
-	// attribution; PatternParallel additionally requires a full scan
-	// plan, stuck-at faults only, and exact comparison (MISRDegree 0).
+	// Mode overrides the kernel choice. The zero value, Auto, lets Run
+	// pick per session (see Simulator.Kernel); FaultParallel and
+	// PatternParallel force a reference kernel for differential tests
+	// and benchmarks. FaultParallel replays the session once per
+	// 63-fault batch; PatternParallel packs up to 64 tests per lane word
+	// and propagates one fault at a time as a difference against a
+	// shared fault-free trace. Both produce byte-identical RunStats,
+	// fault states and site attribution; PatternParallel additionally
+	// requires a full scan plan, stuck-at faults only, and exact
+	// comparison (MISRDegree 0).
 	Mode Mode
-	// PatternsPerPass selects the pattern-parallel lane width: zero
-	// means DefaultPatternsPerPass (64, one machine word); the only
-	// other accepted value is WidePatternsPerPass (256, a [4]uint64
-	// word). Nonzero values are rejected in fault-parallel mode.
-	PatternsPerPass int
 	// FaultsPerPass caps the number of faults packed into one batch.
 	// Zero means LanesPerWord; values above LanesPerWord or below zero
 	// are rejected by Validate. Smaller values are only useful for the
 	// packing-width ablation benchmarks. The batch is also the sharding
-	// and merge unit in pattern-parallel mode, which is why checkpoint
-	// chunk geometry and stats are mode-independent.
+	// and merge unit of the pattern-parallel kernel, which is why
+	// checkpoint chunk geometry and stats are kernel-independent.
 	FaultsPerPass int
 	// Workers is the number of goroutines fault batches are sharded
 	// across. Zero means runtime.GOMAXPROCS(0); one forces the serial
@@ -110,17 +108,7 @@ type Options struct {
 // can call it earlier for a better error site.
 func (o Options) Validate() error {
 	if o.Mode > PatternParallel {
-		return fmt.Errorf("fsim: unknown Mode %d (want %v or %v)", o.Mode, FaultParallel, PatternParallel)
-	}
-	switch o.PatternsPerPass {
-	case 0, DefaultPatternsPerPass, WidePatternsPerPass:
-	default:
-		return fmt.Errorf("fsim: PatternsPerPass must be 0, %d or %d (got %d)",
-			DefaultPatternsPerPass, WidePatternsPerPass, o.PatternsPerPass)
-	}
-	if o.PatternsPerPass != 0 && o.Mode != PatternParallel {
-		return fmt.Errorf("fsim: PatternsPerPass is only meaningful in pattern-parallel mode (got %d with Mode %v)",
-			o.PatternsPerPass, o.Mode)
+		return fmt.Errorf("fsim: unknown Mode %d (want %v, %v or %v)", o.Mode, Auto, FaultParallel, PatternParallel)
 	}
 	if o.FaultsPerPass < 0 || o.FaultsPerPass > LanesPerWord {
 		return fmt.Errorf("fsim: FaultsPerPass must be in [0, %d] (got %d; zero means %d)",
@@ -136,14 +124,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("fsim: MISR compaction requires fault-parallel mode (a signature has no per-pattern XOR mask)")
 	}
 	return nil
-}
-
-// patternsPerPass resolves the effective pattern-parallel lane width.
-func (o Options) patternsPerPass() int {
-	if o.PatternsPerPass == 0 {
-		return DefaultPatternsPerPass
-	}
-	return o.PatternsPerPass
 }
 
 // Detection sites: where an observed value first exposed a fault. These
@@ -303,10 +283,11 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 	}
 	stats = RunStats{Cycles: s.cost.SessionCycles(tests)}
 	rem := fs.Remaining()
-	var eng ppEngine
-	if opts.Mode == PatternParallel {
+	kernel, groups := s.kernel(tests, fs.Faults, rem, opts)
+	var eng *ppEngine
+	if kernel == PatternParallel {
 		var engErr error
-		eng, engErr = s.newPatternEngine(tests, fs.Faults, rem, opts)
+		eng, engErr = s.newPatternEngine(tests, groups, fs.Faults, rem)
 		if engErr != nil {
 			return RunStats{}, engErr
 		}
@@ -322,7 +303,7 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 			return stats, err
 		}
 	} else {
-		var pw ppWorker
+		var pw *ppWorker
 		if eng != nil {
 			pw = eng.newWorker()
 		}
@@ -367,16 +348,14 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 		}
 	}
 	if tr != nil {
+		// A span keeps two arguments: the worker count (which the trace
+		// analyzer reads) and the kernel that ran.
 		tr.Track(trace.MainTrack).Add(trace.CatRun, trace.SpanRun, runStart, tr.Now()-runStart,
 			trace.KV{K: "workers", V: int64(w)},
-			trace.KV{K: "batches", V: int64(stats.Batches)},
-			trace.KV{K: "mode", V: int64(opts.Mode)})
+			trace.KV{K: "mode", V: int64(kernel)})
 	}
 	if o := opts.Obs; o != nil {
-		o.Gauge("fsim_mode").Set(float64(opts.Mode))
-		if opts.Mode == PatternParallel {
-			o.Gauge("fsim_patterns_per_pass").Set(float64(opts.patternsPerPass()))
-		}
+		o.Gauge("fsim_mode").Set(float64(kernel))
 		o.Counter("fsim_runs_total").Inc()
 		o.Counter("fsim_tests_total").Add(int64(len(tests)))
 		o.Counter("fsim_batches_total").Add(int64(stats.Batches))
@@ -387,6 +366,43 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 		o.Counter("fsim_detected_scan_out_total").Add(int64(stats.DetectedAtScanOut))
 	}
 	return stats, nil
+}
+
+// Kernel reports the kernel Run would use for tests against the
+// remaining faults of fs under opts: opts.Mode when it names one, else
+// the automatic choice (see kernel).
+func (s *Simulator) Kernel(tests []scan.Test, fs *fault.Set, opts Options) Mode {
+	k, _ := s.kernel(tests, fs.Faults, fs.Remaining(), opts)
+	return k
+}
+
+// kernel resolves opts.Mode for one session, returning the pattern
+// groups when the pattern-parallel kernel is chosen. Auto picks PPSFP
+// exactly when it applies — full scan plan, stuck-at faults only, exact
+// comparison — and the tests pack densely: at least ppMinTestsPerGroup
+// tests per same-shape group. The rule ignores the fault count, so
+// every dispatch unit and checkpoint chunk of a session picks the same
+// kernel; results are byte-identical either way.
+func (s *Simulator) kernel(tests []scan.Test, faults []fault.Fault, rem []int, opts Options) (Mode, []ppGroup) {
+	switch opts.Mode {
+	case FaultParallel:
+		return FaultParallel, nil
+	case PatternParallel:
+		return PatternParallel, ppGroups(tests)
+	}
+	if !s.plan.IsFull() || opts.MISRDegree != 0 || len(tests) == 0 {
+		return FaultParallel, nil
+	}
+	for _, fi := range rem {
+		if faults[fi].Model != fault.StuckAt {
+			return FaultParallel, nil
+		}
+	}
+	groups := ppGroups(tests)
+	if len(tests) < ppMinTestsPerGroup*len(groups) {
+		return FaultParallel, nil
+	}
+	return PatternParallel, groups
 }
 
 // mergeBatch folds one batch's detection mask into the session: it marks
@@ -500,11 +516,11 @@ func (s *Simulator) reset() {
 	s.applyStateStuck()
 }
 
-// simBatch dispatches one batch to the active mode's kernel: the
+// simBatch dispatches one batch to the session's kernel: the
 // pattern-parallel worker when one exists, the fault-parallel session
 // replay otherwise. Both produce the same det/sites contract, so the
-// shared mergeBatch fold keeps the modes byte-identical.
-func (s *Simulator) simBatch(pw ppWorker, tests []scan.Test, faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word {
+// shared mergeBatch fold keeps the kernels byte-identical.
+func (s *Simulator) simBatch(pw *ppWorker, tests []scan.Test, faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word {
 	if pw != nil {
 		return pw.runBatch(faults, batch, opts, sites)
 	}

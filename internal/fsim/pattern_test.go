@@ -9,6 +9,7 @@ import (
 	"limscan/internal/logic"
 	"limscan/internal/obs"
 	"limscan/internal/scan"
+	"limscan/internal/trace"
 )
 
 // runSession simulates one session under explicit Options (with an
@@ -38,8 +39,8 @@ func diffStates(t *testing.T, c *circuit.Circuit, reps []fault.Fault, label stri
 
 // TestParallelPatternMatchesFaultParallelBmarks is the tentpole's
 // differential gate: on every registered benchmark circuit, the
-// pattern-parallel kernel — serial and sharded across 4 workers, at both
-// lane widths — must reproduce the fault-parallel RunStats struct
+// pattern-parallel kernel — serial and sharded across 4 workers — must
+// reproduce the fault-parallel RunStats struct
 // (detections, batch count, cycle cost, per-site attribution) and the
 // per-fault detection states exactly. The "Parallel" name puts it under
 // `make paradiff`, so it also runs under -race at GOMAXPROCS 1 and 4.
@@ -58,14 +59,13 @@ func TestParallelPatternMatchesFaultParallelBmarks(t *testing.T) {
 			reps, _ := fault.Collapse(c, fault.Universe(c))
 			n, length := sessionDims(len(c.Gates))
 			tests := randomTests(c, n, length, true, spec.Seed^0xA5A5)
-			base, baseStates := runSession(t, c, reps, tests, Options{Workers: 1})
+			base, baseStates := runSession(t, c, reps, tests, Options{Mode: FaultParallel, Workers: 1})
 			cases := []struct {
 				label string
 				o     Options
 			}{
 				{"pp/w1", Options{Mode: PatternParallel, Workers: 1}},
 				{"pp/w4", Options{Mode: PatternParallel, Workers: 4}},
-				{"pp-wide/w1", Options{Mode: PatternParallel, PatternsPerPass: WidePatternsPerPass, Workers: 1}},
 			}
 			for _, tc := range cases {
 				stats, states := runSession(t, c, reps, tests, tc.o)
@@ -118,17 +118,12 @@ func TestParallelPatternOddCounts(t *testing.T) {
 			continue
 		}
 		tests := randomTests(c, n, 2, true, uint64(n))
-		base, baseStates := runSession(t, c, reps, tests, Options{Workers: 1})
-		for _, o := range []Options{
-			{Mode: PatternParallel, Workers: 1},
-			{Mode: PatternParallel, PatternsPerPass: WidePatternsPerPass, Workers: 1},
-		} {
-			stats, states := runSession(t, c, reps, tests, o)
-			if stats != base {
-				t.Errorf("n=%d ppp=%d stats = %+v, want %+v", n, o.PatternsPerPass, stats, base)
-			}
-			diffStates(t, c, reps, "odd-count", states, baseStates)
+		base, baseStates := runSession(t, c, reps, tests, Options{Mode: FaultParallel, Workers: 1})
+		stats, states := runSession(t, c, reps, tests, Options{Mode: PatternParallel, Workers: 1})
+		if stats != base {
+			t.Errorf("n=%d stats = %+v, want %+v", n, stats, base)
 		}
+		diffStates(t, c, reps, "odd-count", states, baseStates)
 	}
 }
 
@@ -142,7 +137,7 @@ func TestParallelPatternNoEarlyExit(t *testing.T) {
 	}
 	reps, _ := fault.Collapse(c, fault.Universe(c))
 	tests := randomTests(c, 70, 3, true, 17)
-	base, baseStates := runSession(t, c, reps, tests, Options{Workers: 1, NoEarlyExit: true})
+	base, baseStates := runSession(t, c, reps, tests, Options{Mode: FaultParallel, Workers: 1, NoEarlyExit: true})
 	stats, states := runSession(t, c, reps, tests, Options{Mode: PatternParallel, Workers: 1, NoEarlyExit: true})
 	if stats != base {
 		t.Errorf("NoEarlyExit stats = %+v, want %+v", stats, base)
@@ -160,7 +155,7 @@ func TestParallelPatternZeroTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps, _ := fault.Collapse(c, fault.Universe(c))
-	base, baseStates := runSession(t, c, reps, nil, Options{Workers: 1})
+	base, baseStates := runSession(t, c, reps, nil, Options{Mode: FaultParallel, Workers: 1})
 	if base.Detected == 0 {
 		t.Fatalf("oracle expectation broken: zero-test session detected nothing (want stuck-at-1 flip-flop outputs)")
 	}
@@ -173,8 +168,8 @@ func TestParallelPatternZeroTests(t *testing.T) {
 
 // TestParallelPatternRejections pins the documented limits of the
 // pattern-parallel mode: partial scan plans and transition faults are
-// run-time errors with actionable messages, MISR compaction and
-// mode/width mismatches fail Validate.
+// run-time errors with actionable messages, MISR compaction and unknown
+// modes fail Validate.
 func TestParallelPatternRejections(t *testing.T) {
 	c, err := bmark.Load("s344")
 	if err != nil {
@@ -213,8 +208,6 @@ func TestParallelPatternRejections(t *testing.T) {
 
 	for _, o := range []Options{
 		{Mode: PatternParallel, MISRDegree: 16},
-		{Mode: FaultParallel, PatternsPerPass: DefaultPatternsPerPass},
-		{Mode: PatternParallel, PatternsPerPass: 100},
 		{Mode: Mode(7)},
 	} {
 		if err := o.Validate(); err == nil {
@@ -223,32 +216,96 @@ func TestParallelPatternRejections(t *testing.T) {
 	}
 }
 
-// TestParallelPatternMetrics checks the mode observability surface.
+// TestParallelPatternMetrics checks the kernel observability surface:
+// the fsim_mode gauge and the fsim_run span's mode argument record the
+// kernel that actually ran, whether forced or chosen.
 func TestParallelPatternMetrics(t *testing.T) {
 	c, err := bmark.Load("s298")
 	if err != nil {
 		t.Fatal(err)
 	}
 	reps, _ := fault.Collapse(c, fault.Universe(c))
+	packed := randomTests(c, 8, 2, false, 3)
+	scheduled := randomTests(c, 2, 2, true, 3)
 	for _, tc := range []struct {
-		o        Options
-		mode, pp float64
+		label string
+		o     Options
+		tests []scan.Test
+		want  Mode
 	}{
-		{Options{Workers: 1}, 0, 0},
-		{Options{Mode: PatternParallel, Workers: 1}, 1, 64},
-		{Options{Mode: PatternParallel, PatternsPerPass: WidePatternsPerPass, Workers: 1}, 1, 256},
+		{"forced-fp", Options{Mode: FaultParallel}, packed, FaultParallel},
+		{"forced-pp", Options{Mode: PatternParallel}, scheduled, PatternParallel},
+		{"auto-packed", Options{}, packed, PatternParallel},
+		{"auto-scheduled", Options{}, scheduled, FaultParallel},
 	} {
 		reg := obs.NewRegistry()
+		tr := trace.New()
 		fs := fault.NewSet(reps)
-		tc.o.Obs = obs.New(reg, nil)
-		if _, err := New(c).Run(randomTests(c, 2, 2, true, 3), fs, tc.o); err != nil {
+		tc.o.Workers, tc.o.Obs, tc.o.Trace = 1, obs.New(reg, nil), tr
+		if _, err := New(c).Run(tc.tests, fs, tc.o); err != nil {
 			t.Fatal(err)
 		}
-		if got := reg.Gauge("fsim_mode").Value(); got != tc.mode {
-			t.Errorf("%v: fsim_mode = %v, want %v", tc.o.Mode, got, tc.mode)
+		if got := reg.Gauge("fsim_mode").Value(); got != float64(tc.want) {
+			t.Errorf("%s: fsim_mode = %v, want %v", tc.label, got, float64(tc.want))
 		}
-		if got := reg.Gauge("fsim_patterns_per_pass").Value(); got != tc.pp {
-			t.Errorf("%v: fsim_patterns_per_pass = %v, want %v", tc.o.Mode, got, tc.pp)
+		if got := runSpanMode(t, tr); got != int64(tc.want) {
+			t.Errorf("%s: fsim_run mode = %d, want %d", tc.label, got, tc.want)
+		}
+	}
+}
+
+// runSpanMode returns the mode argument of the single fsim_run span.
+func runSpanMode(t *testing.T, tr *trace.Recorder) int64 {
+	t.Helper()
+	for _, sp := range tr.Model().Track(trace.MainTrack).Spans {
+		if v, ok := sp.Arg("mode"); ok && sp.Name == trace.SpanRun {
+			return v
+		}
+	}
+	t.Fatal("no fsim_run span with a mode argument")
+	return -1
+}
+
+// TestKernelChoice pins the automatic kernel rule: PPSFP exactly for a
+// densely packed, full-scan, stuck-at, exact-compare session; the
+// fault-parallel kernel everywhere else.
+func TestKernelChoice(t *testing.T) {
+	c, err := bmark.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, _ := fault.Collapse(c, fault.Universe(c))
+	stuck := fault.NewSet(reps)
+	full := New(c)
+	partial := scan.Plan{Total: c.NumSV()}
+	for p := 0; p < c.NumSV()-1; p++ {
+		partial.Chain = append(partial.Chain, p)
+	}
+	part, err := NewWithPlan(c, partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := randomTests(c, 16, 3, false, 1)   // one shape: 2 groups of 8
+	scheduled := randomTests(c, 16, 3, true, 1) // per-test limited-scan schedules
+	for _, tc := range []struct {
+		label string
+		sim   *Simulator
+		tests []scan.Test
+		fs    *fault.Set
+		o     Options
+		want  Mode
+	}{
+		{"packed full-scan session", full, packed, stuck, Options{}, PatternParallel},
+		{"per-test limited-scan schedules", full, scheduled, stuck, Options{}, FaultParallel},
+		{"partial plan", part, packed, stuck, Options{}, FaultParallel},
+		{"transition faults", full, packed, fault.NewSet(fault.TransitionUniverse(c)), Options{}, FaultParallel},
+		{"MISR", full, packed, stuck, Options{MISRDegree: 16}, FaultParallel},
+		{"zero tests", full, nil, stuck, Options{}, FaultParallel},
+		{"forced fault-parallel", full, packed, stuck, Options{Mode: FaultParallel}, FaultParallel},
+		{"forced pattern-parallel", full, scheduled, stuck, Options{Mode: PatternParallel}, PatternParallel},
+	} {
+		if got := tc.sim.Kernel(tc.tests, tc.fs, tc.o); got != tc.want {
+			t.Errorf("%s: kernel %v, want %v", tc.label, got, tc.want)
 		}
 	}
 }
@@ -266,7 +323,7 @@ func TestPPGroups(t *testing.T) {
 		mk(2, []int{0, 3}), // schedule change splits
 		mk(3, nil),         // length change splits
 	}
-	gs := ppGroups(tests, 64)
+	gs := ppGroups(tests)
 	want := [][2]int{{0, 2}, {2, 3}, {3, 4}}
 	if len(gs) != len(want) {
 		t.Fatalf("ppGroups = %d groups, want %d", len(gs), len(want))
@@ -281,7 +338,7 @@ func TestPPGroups(t *testing.T) {
 	for i := range many {
 		many[i] = mk(1, nil)
 	}
-	gs = ppGroups(many, 64)
+	gs = ppGroups(many)
 	if len(gs) != 2 || gs[0].hi != 64 || gs[1].lo != 64 || gs[1].hi != 70 {
 		t.Errorf("lane cap: groups = %+v, want [0,64) and [64,70)", gs)
 	}

@@ -328,18 +328,26 @@ func (s *Service) Submit(sp Spec) (View, bool, error) {
 }
 
 // tryCacheHit serves a submission from the memo cache: a fresh,
-// already-terminal job whose report is the memoized bytes.
+// already-terminal job whose report is the memoized bytes. Every side
+// effect — ledger row, counters, event — lands before the job is
+// registered, so whoever can see the job sees all of them.
 func (s *Service) tryCacheHit(sp Spec, hash string) (View, bool) {
 	m, ok, layer := s.cache.Get(hash)
 	if !ok {
 		return View{}, false
 	}
 	j := s.newJob(sp, hash)
+	summary := m.Summary
+	s.o.Counter("service_cache_hits_total").Inc()
+	s.o.Counter(obs.Label("service_cache_hits_by_layer_total", "layer", layer)).Inc()
+	s.o.Gauge("service_cache_resident").Set(float64(s.cache.Resident()))
+	s.o.Emit(obs.Event{Kind: obs.KindCacheHit, Job: j.id, Circuit: sp.Circuit})
+	s.appendLedger(j, true, summary, 0)
+
 	now := time.Now().UTC()
 	s.mu.Lock()
 	j.state = StateDone
 	j.cacheHit = true
-	summary := m.Summary
 	j.summary = &summary
 	j.report = []byte(m.Report)
 	j.started, j.finished = now, now
@@ -348,12 +356,6 @@ func (s *Service) tryCacheHit(sp Spec, hash string) (View, bool) {
 	s.order = append(s.order, j)
 	v := j.view()
 	s.mu.Unlock()
-
-	s.o.Counter("service_cache_hits_total").Inc()
-	s.o.Counter(obs.Label("service_cache_hits_by_layer_total", "layer", layer)).Inc()
-	s.o.Gauge("service_cache_resident").Set(float64(s.cache.Resident()))
-	s.o.Emit(obs.Event{Kind: obs.KindCacheHit, Job: j.id, Circuit: sp.Circuit})
-	s.appendLedger(j, 0)
 	return v, true
 }
 
@@ -420,6 +422,17 @@ func (s *Service) runJob(j *job) {
 	}
 	_ = os.Remove(s.specPath(j.hash))
 
+	// Side effects first, publication last: a Waiter released by
+	// close(j.done) must find the ledger row, counters and event.
+	if resumed {
+		s.o.Counter("service_jobs_resumed_total").Inc()
+	}
+	s.o.Counter("service_jobs_completed_total").Inc()
+	s.o.Gauge("service_cache_resident").Set(float64(s.cache.Resident()))
+	s.o.Emit(obs.Event{Kind: obs.KindJobDone, Job: j.id, Circuit: j.spec.Circuit,
+		Detected: summary.Detected, Cycles: summary.TotalCycles, Coverage: summary.Coverage})
+	s.appendLedger(j, false, summary, wall)
+
 	s.mu.Lock()
 	j.state = StateDone
 	j.resumed = resumed
@@ -430,15 +443,6 @@ func (s *Service) runJob(j *job) {
 	delete(s.inflight, j.hash)
 	close(j.done)
 	s.mu.Unlock()
-
-	if resumed {
-		s.o.Counter("service_jobs_resumed_total").Inc()
-	}
-	s.o.Counter("service_jobs_completed_total").Inc()
-	s.o.Gauge("service_cache_resident").Set(float64(s.cache.Resident()))
-	s.o.Emit(obs.Event{Kind: obs.KindJobDone, Job: j.id, Circuit: j.spec.Circuit,
-		Detected: summary.Detected, Cycles: summary.TotalCycles, Coverage: summary.Coverage})
-	s.appendLedger(j, wall)
 }
 
 // runCampaign builds the per-job runner and executes RunJob with the
@@ -471,7 +475,10 @@ func (s *Service) runCampaign(ctx context.Context, j *job) (res *core.Result, re
 // (the user said stop), while a shutdown interruption keeps it so the
 // next start re-queues the job and resumes its checkpoint. Real
 // failures also drop the spec: a deterministic campaign that failed
-// once would only crash-loop on re-queue.
+// once would only crash-loop on re-queue. The terminal state is decided
+// under the lock (racing Cancel calls see it), but j.done closes only
+// after the file removals, counters and event, so a Waiter observes
+// all of them.
 func (s *Service) finishErr(j *job, err error) {
 	s.mu.Lock()
 	interrupted := errors.Is(err, errs.Interrupted)
@@ -489,8 +496,8 @@ func (s *Service) finishErr(j *job, err error) {
 	j.cancel = nil
 	userCanceled := j.userCanceled
 	delete(s.inflight, j.hash)
-	close(j.done)
 	s.mu.Unlock()
+	defer close(j.done)
 
 	if !interrupted || userCanceled {
 		_ = os.Remove(s.specPath(j.hash))
@@ -571,14 +578,15 @@ func (s *Service) Cancel(id string) (View, error) {
 		j.err = errs.Newf(errs.Interrupted, "service: canceled before start")
 		j.finished = time.Now().UTC()
 		delete(s.inflight, j.hash)
-		close(j.done)
-		hash := j.hash
 		v := j.view()
 		s.mu.Unlock()
-		_ = os.Remove(s.specPath(hash))
-		_ = os.Remove(s.ckPath(hash))
+		// As in finishErr: the state is terminal (so no worker picks the
+		// job up), and j.done closes after the cleanup it covers.
+		_ = os.Remove(s.specPath(j.hash))
+		_ = os.Remove(s.ckPath(j.hash))
 		s.o.Counter("service_jobs_canceled_total").Inc()
 		s.o.Emit(obs.Event{Kind: obs.KindJobCanceled, Job: j.id, Circuit: j.spec.Circuit})
+		close(j.done)
 		return v, nil
 	}
 	cancel := j.cancel
@@ -663,28 +671,26 @@ func (s *Service) Shutdown(ctx context.Context) error {
 }
 
 // appendLedger records one finished job (wall is zero for cache hits).
-func (s *Service) appendLedger(j *job, wall time.Duration) {
+func (s *Service) appendLedger(j *job, cacheHit bool, summary Summary, wall time.Duration) {
 	if s.opts.LedgerPath == "" {
 		return
 	}
-	s.mu.Lock()
+	// Callers append before publishing the job, so the fields read here
+	// are the ones fixed at creation and need no lock.
 	rec := &ledger.Record{
 		Kind:        ledger.KindService,
 		JobID:       j.id,
 		Circuit:     j.spec.Circuit,
 		ParamsHash:  j.hash,
 		Seed:        j.spec.Seed,
-		CacheHit:    j.cacheHit,
+		CacheHit:    cacheHit,
 		Recovered:   j.recovered,
 		WallSeconds: wall.Seconds(),
+		Faults:      summary.Faults,
+		Detected:    summary.Detected,
+		Coverage:    summary.Coverage,
+		TotalCycles: summary.TotalCycles,
 	}
-	if j.summary != nil {
-		rec.Faults = j.summary.Faults
-		rec.Detected = j.summary.Detected
-		rec.Coverage = j.summary.Coverage
-		rec.TotalCycles = j.summary.TotalCycles
-	}
-	s.mu.Unlock()
 	if s.opts.Dispatch != nil {
 		rec.DispatchFromObs(s.o)
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"limscan/internal/core"
 	"limscan/internal/errs"
 	"limscan/internal/ledger"
 	"limscan/internal/obs"
@@ -437,10 +440,9 @@ func TestLedgerRecords(t *testing.T) {
 func TestSubmitInputErrors(t *testing.T) {
 	s, _ := newTestService(t, nil)
 	for _, sp := range []Spec{
-		{},                           // no circuit
-		{Circuit: "no-such-bench"},   // unknown circuit
-		{Circuit: "s27", LA: -1},     // invalid config
-		{Circuit: "s27", Mode: "??"}, // bad mode
+		{},                         // no circuit
+		{Circuit: "no-such-bench"}, // unknown circuit
+		{Circuit: "s27", LA: -1},   // invalid config
 		{Circuit: "s27", Workers: -3},
 	} {
 		if _, _, err := s.Submit(sp); !errs.Is(err, errs.Input) {
@@ -452,8 +454,8 @@ func TestSubmitInputErrors(t *testing.T) {
 	}
 }
 
-// TestWorkersResultNeutralCache: specs that differ only in
-// result-neutral knobs (workers, mode) share one ParamsHash, so the
+// TestWorkersResultNeutralCache: specs that differ only in the
+// result-neutral worker count share one ParamsHash, so the
 // second submission is a cache hit — the cache-key soundness property
 // DESIGN.md §8 argues.
 func TestWorkersResultNeutralCache(t *testing.T) {
@@ -467,7 +469,6 @@ func TestWorkersResultNeutralCache(t *testing.T) {
 
 	b := a
 	b.Workers = 3
-	b.Mode = "pattern-parallel"
 	hit, _, err := s.Submit(b)
 	if err != nil {
 		t.Fatal(err)
@@ -477,6 +478,72 @@ func TestWorkersResultNeutralCache(t *testing.T) {
 	}
 	if hit.ParamsHash != v.ParamsHash {
 		t.Errorf("hashes differ: %s vs %s", hit.ParamsHash, v.ParamsHash)
+	}
+}
+
+// TestRecoverSpecWithMode: a spec file persisted by a build whose Spec
+// still had a "mode" field (the kernel is now chosen per session)
+// recovers under the ParamsHash that build gave it, and its campaign
+// runs to the report a fresh submission produces. readSpec decodes
+// tolerantly, unlike the HTTP submit path.
+func TestRecoverSpecWithMode(t *testing.T) {
+	const hash = "44830c38" // fastSpec(12)'s ParamsHash, mode never part of it
+	c, cfg, err := fastSpec(12).resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := core.JobParamsHash(c, cfg); got != hash {
+		t.Fatalf("fastSpec(12) hashes to %s, want %s", got, hash)
+	}
+	dir := t.TempDir()
+	old := `{
+  "schema": 1,
+  "spec": {
+    "circuit": "s27",
+    "la": 10,
+    "lb": 5,
+    "n": 2,
+    "seed": 12,
+    "mode": "pattern-parallel"
+  }
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, hash+".spec.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{StateDir: dir, Obs: obs.New(obs.NewRegistry(), nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	views := s.List()
+	if len(views) != 1 || !views[0].Recovered || views[0].ParamsHash != hash {
+		t.Fatalf("spec not recovered under %s: %+v", hash, views)
+	}
+	if final := waitDone(t, s, views[0].ID); final.State != StateDone {
+		t.Fatalf("recovered job ended %s: %s", final.State, final.Error)
+	}
+	got, err := s.Report(views[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref, _ := newTestService(t, nil)
+	rv, _, err := ref.Submit(fastSpec(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ref, rv.ID)
+	want, err := ref.Report(rv.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("recovered report differs from a fresh submission's")
 	}
 }
 
