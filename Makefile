@@ -2,8 +2,9 @@
 # a full build, the race-enabled test suite (checking the concurrency
 # claims of internal/obs and the sharded fault simulator), the plain
 # tier-1 suite, the parallel-vs-serial differential suite under both a
-# single-core and a multi-core scheduler, the service/dispatch suites
-# repeated under the race detector (ordering flakes fail the gate),
+# single-core and a multi-core scheduler, the service/dispatch and
+# campaign-engine suites repeated under the race detector (ordering
+# flakes fail the gate),
 # short native-fuzz smokes, the checkpoint/resume kill-and-restart
 # smoke, the chaos sweep (every checkpoint I/O operation
 # failure-injected in turn), the performance-observability smoke
@@ -47,15 +48,19 @@ paradiff:
 # racerepeat runs the campaign-service and distributed-dispatch suites
 # 20 times under the race detector: their publish-before-side-effect
 # orderings (a job visible as done before its ledger row, say) fail
-# only on unlucky schedules, so one pass is not evidence.
+# only on unlucky schedules, so one pass is not evidence. The campaign
+# engine suite (./internal/core) repeats 5 times: one -race pass takes
+# about 25 s on a 2-CPU host, so five keep the step near two minutes.
 racerepeat:
 	$(GO) test -race -count=20 ./internal/service ./internal/dispatch
+	$(GO) test -race -count=5 ./internal/core
 
 # fuzz runs the native fuzz targets briefly: long enough to exercise the
 # mutator beyond the checked-in corpus, short enough for a CI gate.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/fsim
 	$(GO) test -run '^$$' -fuzz FuzzPPSFP -fuzztime 10s ./internal/fsim
+	$(GO) test -run '^$$' -fuzz FuzzPODEM -fuzztime 10s ./internal/atpg
 	$(GO) test -run '^$$' -fuzz FuzzBenchParse -fuzztime 10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz FuzzBenchHostile -fuzztime 10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 10s ./internal/checkpoint

@@ -70,26 +70,64 @@ func v5bit(v logic.V5, fill uint8) uint8 {
 }
 
 // Engine runs PODEM for one circuit. Not safe for concurrent use.
+//
+// Implication is event-driven. Gate values persist across the steps of
+// one search; a decision, flip or pop records the source it changed, and
+// imply re-evaluates only the fanout of values that actually changed,
+// level by level, stopping wherever a gate's value holds. A full
+// evaluation runs only when a search starts (new fault, constraint and
+// an empty assignment set). DESIGN.md §2d argues that this reproduces
+// the full evaluation exactly, so verdicts, cubes and backtrack counts
+// do not depend on it.
 type Engine struct {
 	c *circuit.Circuit
 	// BacktrackLimit bounds the search; when exhausted the verdict is
 	// Aborted. The default (0) means 10000 backtracks.
 	BacktrackLimit int
 
-	val      []logic.V5
-	assigned map[int]logic.V5 // source gate -> assigned value
-	srcSet   map[int]bool     // controllable sources
-	poSet    map[int]bool     // gates observed as POs
-	ppoOf    map[int]int      // driver gate -> DFF gate (PPO), for pin faults
-	cc0, cc1 []int            // SCOAP-like controllability costs
-	dffPos   map[int]int      // DFF gate -> scan position
+	val []logic.V5
+	// assigned holds each source's decision value; X means unassigned.
+	assigned []logic.V5
+	sources  []int  // controllable sources: PIs then DFFs
+	isPO     []bool // gates observed as POs
+	ppoOf    []int  // driver gate -> DFF gate (PPO), for pin faults; -1 if none
+	cc0, cc1 []int  // SCOAP-like controllability costs
 
-	f      fault.Fault
-	siteOK bool // fault can be pin-transformed at the site
+	// level is each gate's combinational level; exactly the sources are
+	// at level 0. buckets[l] queues the level-l gates scheduled for
+	// re-evaluation, and queued marks them so a gate is queued at most
+	// once per imply.
+	level   []int
+	buckets [][]int
+	queued  []bool
+	// changed lists the sources whose assignment changed since the last
+	// imply.
+	changed []int
+
+	// cone is the fault site's combinational output cone in evaluation
+	// order: the only gates that can carry an error, so the only
+	// D-frontier candidates.
+	cone     []int
+	inCone   []bool
+	frontier []int // dFrontier's result, reused
+
+	// xPathExists memo: an entry is valid when its stamp equals epoch.
+	memoVal   []bool
+	memoStamp []uint32
+	epoch     uint32
+
+	stack      []decision
+	backtracks int
+
+	f fault.Fault
 	// constraint, when set, requires an additional line justification
 	// alongside detection (used by the two-frame transition search: the
 	// launch value in the first frame).
 	constraint *lineConstraint
+
+	// checkImply, when set (by tests only), runs after every incremental
+	// imply.
+	checkImply func(*Engine)
 }
 
 type lineConstraint struct {
@@ -97,30 +135,66 @@ type lineConstraint struct {
 	want logic.V5
 }
 
-// New returns an Engine for c.
+// decision is one entry of the PODEM decision stack.
+type decision struct {
+	src     int
+	flipped bool
+}
+
+// New returns an Engine for c. The per-gate tables are built here, once
+// per circuit; the work lists (decision stack, changed sources, cone)
+// grow to their working size in the first searches and are then reused.
 func New(c *circuit.Circuit) *Engine {
+	n := c.NumGates()
 	e := &Engine{
-		c:        c,
-		val:      make([]logic.V5, c.NumGates()),
-		assigned: make(map[int]logic.V5),
-		srcSet:   make(map[int]bool),
-		poSet:    make(map[int]bool),
-		ppoOf:    make(map[int]int),
-		dffPos:   make(map[int]int),
+		c:         c,
+		val:       make([]logic.V5, n),
+		assigned:  make([]logic.V5, n),
+		sources:   c.ScanSources(),
+		isPO:      make([]bool, n),
+		ppoOf:     make([]int, n),
+		level:     make([]int, n),
+		queued:    make([]bool, n),
+		inCone:    make([]bool, n),
+		memoVal:   make([]bool, n),
+		memoStamp: make([]uint32, n),
 	}
-	for _, id := range c.ScanSources() {
-		e.srcSet[id] = true
+	for id := range e.assigned {
+		e.assigned[id] = logic.X
+		e.ppoOf[id] = -1
 	}
 	for _, id := range c.Outputs {
-		e.poSet[id] = true
+		e.isPO[id] = true
 	}
-	for pos, id := range c.DFFs {
+	for _, id := range c.DFFs {
 		e.ppoOf[c.Gates[id].Fanin[0]] = id
-		e.dffPos[id] = pos
+	}
+	// Levels from the eval order: a gate sits one above its deepest
+	// fanin, so every fanout of a gate is at a strictly higher level.
+	maxLevel := 0
+	for _, id := range c.EvalOrder() {
+		l := 0
+		for _, f := range c.Gates[id].Fanin {
+			l = max(l, e.level[f])
+		}
+		e.level[id] = l + 1
+		maxLevel = max(maxLevel, l+1)
+	}
+	width := make([]int, maxLevel+1)
+	for _, id := range c.EvalOrder() {
+		width[e.level[id]]++
+	}
+	e.buckets = make([][]int, maxLevel+1)
+	for l := range e.buckets {
+		e.buckets[l] = make([]int, 0, width[l])
 	}
 	e.computeControllability()
 	return e
 }
+
+// Backtracks reports how many backtracks the last Generate made, summed
+// over its justification queries and its search.
+func (e *Engine) Backtracks() int { return e.backtracks }
 
 // computeControllability assigns SCOAP-style CC0/CC1 costs used to guide
 // backtrace towards the cheapest source assignments.
@@ -176,17 +250,13 @@ func (e *Engine) computeControllability() {
 // testable, the generated cube. Only stuck-at faults are classifiable;
 // transition faults (which need two-pattern reasoning) return Aborted.
 func (e *Engine) Generate(f fault.Fault) (Verdict, TestCube) {
+	e.backtracks = 0
 	if f.Model != fault.StuckAt {
 		return Aborted, TestCube{}
 	}
-	e.f = f
-	e.constraint = nil
 	limit := e.BacktrackLimit
 	if limit <= 0 {
 		limit = 10000
-	}
-	for k := range e.assigned {
-		delete(e.assigned, k)
 	}
 
 	g := &e.c.Gates[f.Gate]
@@ -206,34 +276,54 @@ func (e *Engine) Generate(f fault.Fault) (Verdict, TestCube) {
 		if f.Stuck == 1 {
 			want = logic.Zero
 		}
-		for q := 0; q <= e.dffPos[f.Gate]; q++ {
-			drv := e.c.Gates[e.c.DFFs[q]].Fanin[0]
-			switch ok, cube := e.justify(drv, want, limit); ok {
+		for _, d := range e.c.DFFs { // positions q <= p, in order
+			switch ok, cube := e.justify(e.c.Gates[d].Fanin[0], want, limit); ok {
 			case justifyYes:
 				return Testable, cube
 			case justifyAborted:
 				justAborted = true
 			}
-		}
-		e.f = f // justify clobbered the engine's fault
-		for k := range e.assigned {
-			delete(e.assigned, k)
+			if d == f.Gate {
+				break
+			}
 		}
 	}
 
+	e.start(f, nil)
 	return e.search(limit, justAborted)
 }
 
-// search runs the PODEM decision loop for the engine's current fault
-// (and constraint, if any).
-func (e *Engine) search(limit int, inconclusive bool) (Verdict, TestCube) {
-	type decision struct {
-		src     int
-		flipped bool
+// start resets the engine for a new search: the fault and constraint are
+// installed, every assignment is cleared, and the whole scan view is
+// evaluated once. Steps of the search then imply incrementally.
+func (e *Engine) start(f fault.Fault, con *lineConstraint) {
+	e.f = f
+	e.constraint = con
+	for _, id := range e.sources {
+		e.assigned[id] = logic.X
 	}
-	var stack []decision
-	backtracks := 0
+	e.changed = e.changed[:0]
+	e.stack = e.stack[:0]
+	e.buildCone()
+	for _, id := range e.sources {
+		e.val[id] = e.sourceValue(id)
+	}
+	for _, id := range e.c.EvalOrder() {
+		e.val[id] = e.eval(id)
+	}
+}
 
+// assign sets (or, with X, clears) a source's decision value and records
+// the change for the next imply.
+func (e *Engine) assign(src int, v logic.V5) {
+	e.assigned[src] = v
+	e.changed = append(e.changed, src)
+}
+
+// search runs the PODEM decision loop for the engine's current fault
+// (and constraint, if any), as installed by start.
+func (e *Engine) search(limit int, inconclusive bool) (Verdict, TestCube) {
+	base := e.backtracks
 	for {
 		e.imply()
 		if e.success() {
@@ -243,35 +333,42 @@ func (e *Engine) search(limit int, inconclusive bool) (Verdict, TestCube) {
 		if ok {
 			src, srcVal, found := e.backtrace(obj, objVal)
 			if found {
-				e.assigned[src] = srcVal
-				stack = append(stack, decision{src: src})
+				e.assign(src, srcVal)
+				e.stack = append(e.stack, decision{src: src})
 				continue
 			}
 		}
 		// Dead end: flip or pop.
-		for {
-			if len(stack) == 0 {
-				if inconclusive {
-					// Part of the search was inconclusive, so an
-					// untestability proof is not available.
-					return Aborted, TestCube{}
-				}
-				return Untestable, TestCube{}
+		if !e.backtrack() {
+			if inconclusive {
+				// Part of the search was inconclusive, so an
+				// untestability proof is not available.
+				return Aborted, TestCube{}
 			}
-			top := &stack[len(stack)-1]
-			if !top.flipped {
-				top.flipped = true
-				e.assigned[top.src] = logic.Not5(e.assigned[top.src])
-				backtracks++
-				if backtracks > limit {
-					return Aborted, TestCube{}
-				}
-				break
-			}
-			delete(e.assigned, top.src)
-			stack = stack[:len(stack)-1]
+			return Untestable, TestCube{}
+		}
+		if e.backtracks-base > limit {
+			return Aborted, TestCube{}
 		}
 	}
+}
+
+// backtrack pops decisions that were already flipped and flips the
+// newest one that was not, counting one backtrack. It reports false when
+// the stack empties: the search space is exhausted.
+func (e *Engine) backtrack() bool {
+	for len(e.stack) > 0 {
+		top := &e.stack[len(e.stack)-1]
+		if !top.flipped {
+			top.flipped = true
+			e.assign(top.src, logic.Not5(e.assigned[top.src]))
+			e.backtracks++
+			return true
+		}
+		e.assign(top.src, logic.X)
+		e.stack = e.stack[:len(e.stack)-1]
+	}
+	return false
 }
 
 type justifyResult int
@@ -286,17 +383,8 @@ const (
 // given value in the fault-free circuit, using the same decision search
 // as Generate. It clobbers the engine's fault and assignments.
 func (e *Engine) justify(line int, want logic.V5, limit int) (justifyResult, TestCube) {
-	e.f = fault.Fault{Gate: -1, Pin: fault.Stem} // no injection
-	e.constraint = nil
-	for k := range e.assigned {
-		delete(e.assigned, k)
-	}
-	type decision struct {
-		src     int
-		flipped bool
-	}
-	var stack []decision
-	backtracks := 0
+	e.start(fault.Fault{Gate: -1, Pin: fault.Stem}, nil) // no injection
+	base := e.backtracks
 	for {
 		e.imply()
 		v := e.val[line]
@@ -305,58 +393,135 @@ func (e *Engine) justify(line int, want logic.V5, limit int) (justifyResult, Tes
 		}
 		if v == logic.X {
 			if src, srcVal, found := e.backtrace(line, want); found {
-				e.assigned[src] = srcVal
-				stack = append(stack, decision{src: src})
+				e.assign(src, srcVal)
+				e.stack = append(e.stack, decision{src: src})
 				continue
 			}
 		}
-		for {
-			if len(stack) == 0 {
-				return justifyNo, TestCube{}
-			}
-			top := &stack[len(stack)-1]
-			if !top.flipped {
-				top.flipped = true
-				e.assigned[top.src] = logic.Not5(e.assigned[top.src])
-				backtracks++
-				if backtracks > limit {
-					return justifyAborted, TestCube{}
-				}
-				break
-			}
-			delete(e.assigned, top.src)
-			stack = stack[:len(stack)-1]
+		if !e.backtrack() {
+			return justifyNo, TestCube{}
+		}
+		if e.backtracks-base > limit {
+			return justifyAborted, TestCube{}
 		}
 	}
 }
 
-// imply evaluates the whole scan view in five-valued logic under the
-// current source assignments and the engine's fault.
+// imply brings every gate value up to date with the source assignments
+// changed since the last call. A changed source value schedules its
+// fanout; levels are then swept in increasing order, and a re-evaluated
+// gate schedules its own fanout only when its value changed. Fanout
+// always sits at a higher level, so each gate is evaluated at most once,
+// after all its fanins are final.
 func (e *Engine) imply() {
-	c := e.c
-	for id := range e.val {
-		e.val[id] = logic.X
-	}
-	for _, id := range c.ScanSources() {
-		v, ok := e.assigned[id]
-		if !ok {
-			v = logic.X
+	top := 0 // highest level scheduled so far
+	for _, src := range e.changed {
+		if v := e.sourceValue(src); v != e.val[src] {
+			e.val[src] = v
+			top = max(top, e.schedule(src))
 		}
-		// Source stem fault (PI stuck; DFF output stem faults never get
-		// here — they are resolved before search starts).
-		if e.f.Gate == id && e.f.Pin == fault.Stem {
-			v = pinTransform(v, e.f.Stuck)
-		}
-		e.val[id] = v
 	}
-	for _, id := range c.EvalOrder() {
-		g := &c.Gates[id]
+	e.changed = e.changed[:0]
+	for l := 1; l <= top; l++ {
+		b := e.buckets[l]
+		for _, id := range b {
+			e.queued[id] = false
+			if v := e.eval(id); v != e.val[id] {
+				e.val[id] = v
+				top = max(top, e.schedule(id))
+			}
+		}
+		e.buckets[l] = b[:0]
+	}
+	if e.checkImply != nil {
+		e.checkImply(e)
+	}
+}
+
+// schedule queues the combinational fanout of gate id for
+// re-evaluation and returns the highest level it queued (0 if none).
+// Flip-flops are sources, not consumers, so they are never queued.
+func (e *Engine) schedule(id int) int {
+	top := 0
+	for _, fo := range e.c.Gates[id].Fanout {
+		l := e.level[fo]
+		if l == 0 || e.queued[fo] {
+			continue
+		}
+		e.queued[fo] = true
+		e.buckets[l] = append(e.buckets[l], fo)
+		top = max(top, l)
+	}
+	return top
+}
+
+// sourceValue is a source's value: its assignment, with a source stem
+// fault injected (PI stuck, or a DFF output stem fault that reached the
+// ordinary search).
+func (e *Engine) sourceValue(id int) logic.V5 {
+	v := e.assigned[id]
+	if e.f.Gate == id && e.f.Pin == fault.Stem {
+		v = pinTransform(v, e.f.Stuck)
+	}
+	return v
+}
+
+// eval computes combinational gate id's value from its fanins' current
+// values. Every gate but the fault gate takes the injection-free path.
+func (e *Engine) eval(id int) logic.V5 {
+	g := &e.c.Gates[id]
+	if id == e.f.Gate {
 		v := e.evalGate(id, g)
-		if e.f.Gate == id && e.f.Pin == fault.Stem {
+		if e.f.Pin == fault.Stem {
 			v = pinTransform(v, e.f.Stuck)
 		}
-		e.val[id] = v
+		return v
 	}
+	val := e.val
+	switch g.Type {
+	case circuit.And, circuit.Nand:
+		v := logic.One
+		for _, f := range g.Fanin {
+			if v = logic.And5(v, val[f]); v == logic.Zero {
+				break
+			}
+		}
+		if g.Type == circuit.Nand {
+			v = logic.Not5(v)
+		}
+		return v
+	case circuit.Or, circuit.Nor:
+		v := logic.Zero
+		for _, f := range g.Fanin {
+			if v = logic.Or5(v, val[f]); v == logic.One {
+				break
+			}
+		}
+		if g.Type == circuit.Nor {
+			v = logic.Not5(v)
+		}
+		return v
+	case circuit.Xor, circuit.Xnor:
+		v := logic.Zero
+		for _, f := range g.Fanin {
+			if v = logic.Xor5(v, val[f]); v == logic.X {
+				break
+			}
+		}
+		if g.Type == circuit.Xnor {
+			v = logic.Not5(v)
+		}
+		return v
+	case circuit.Not:
+		return logic.Not5(val[g.Fanin[0]])
+	case circuit.Buf:
+		return val[g.Fanin[0]]
+	case circuit.Const0:
+		return logic.Zero
+	case circuit.Const1:
+		return logic.One
+	}
+	return logic.X
 }
 
 // pin returns the value gate id sees on pin, with the engine's branch
@@ -389,6 +554,8 @@ func pinTransform(v logic.V5, stuck uint8) logic.V5 {
 	}
 }
 
+// evalGate evaluates gate id with the engine's branch fault injected on
+// its pins (the stem fault is the caller's to apply).
 func (e *Engine) evalGate(id int, g *circuit.Gate) logic.V5 {
 	switch g.Type {
 	case circuit.And, circuit.Nand:
@@ -435,7 +602,7 @@ func (e *Engine) evalGate(id int, g *circuit.Gate) logic.V5 {
 // fault injected when the engine's fault sits on that DFF input pin.
 func (e *Engine) observedValue(gate int) logic.V5 {
 	v := e.val[gate]
-	if dff, ok := e.ppoOf[gate]; ok {
+	if dff := e.ppoOf[gate]; dff >= 0 {
 		if e.f.Gate == dff && e.f.Pin == 0 {
 			v = pinTransform(v, e.f.Stuck)
 		}
@@ -545,11 +712,50 @@ func nonControlling(t circuit.GateType) logic.V5 {
 	}
 }
 
-// dFrontier lists gates with an error input and an X output, in
-// evaluation order.
-func (e *Engine) dFrontier() []int {
-	var out []int
+// buildCone computes the fault site's combinational output cone in
+// evaluation order. Source assignments are never errors, so an error can
+// only appear on the fault site and downstream of it: the fault gate
+// itself (a branch fault's pin) and every combinational gate reachable
+// from it through fanout. A fault-free search (Gate -1) has no cone.
+func (e *Engine) buildCone() {
+	e.cone = e.cone[:0]
+	if e.f.Gate < 0 {
+		return
+	}
+	e.addToCone(e.f.Gate)
+	for _, fo := range e.c.Gates[e.f.Gate].Fanout {
+		e.addToCone(fo)
+	}
+	for i := 0; i < len(e.cone); i++ {
+		for _, fo := range e.c.Gates[e.cone[i]].Fanout {
+			e.addToCone(fo)
+		}
+	}
+	// Re-list the marked gates in eval order, clearing the marks.
+	e.cone = e.cone[:0]
 	for _, id := range e.c.EvalOrder() {
+		if e.inCone[id] {
+			e.inCone[id] = false
+			e.cone = append(e.cone, id)
+		}
+	}
+}
+
+// addToCone appends a combinational gate to the cone once.
+func (e *Engine) addToCone(id int) {
+	if e.level[id] == 0 || e.inCone[id] {
+		return
+	}
+	e.inCone[id] = true
+	e.cone = append(e.cone, id)
+}
+
+// dFrontier lists gates with an error input and an X output, in
+// evaluation order. Only the fault's cone can hold such gates. The
+// returned slice is reused by the next call.
+func (e *Engine) dFrontier() []int {
+	out := e.frontier[:0]
+	for _, id := range e.cone {
 		if e.val[id] != logic.X {
 			continue
 		}
@@ -561,45 +767,49 @@ func (e *Engine) dFrontier() []int {
 			}
 		}
 	}
+	e.frontier = out
 	return out
 }
 
 // xPathExists checks whether some D-frontier gate still has a path of
 // X-valued gates to an observation point.
 func (e *Engine) xPathExists(frontier []int) bool {
-	memo := make(map[int]bool)
-	var reach func(int) bool
-	reach = func(id int) bool {
-		if v, ok := memo[id]; ok {
-			return v
-		}
-		memo[id] = false // break cycles conservatively
-		if e.poSet[id] {
-			memo[id] = true
-			return true
-		}
-		for _, fo := range e.c.Gates[id].Fanout {
-			fg := &e.c.Gates[fo]
-			if fg.Type == circuit.DFF {
-				memo[id] = true // PPO reached
-				return true
-			}
-			if e.val[fo] == logic.X && reach(fo) {
-				memo[id] = true
-				return true
-			}
-		}
-		return false
+	e.epoch++
+	if e.epoch == 0 { // stamps wrapped: invalidate every entry
+		clear(e.memoStamp)
+		e.epoch = 1
 	}
 	for _, id := range frontier {
 		// The frontier gate itself may be an observation point.
-		if e.poSet[id] {
+		if e.isPO[id] || e.ppoOf[id] >= 0 {
 			return true
 		}
-		if _, ok := e.ppoOf[id]; ok {
+		if e.reach(id) {
 			return true
 		}
-		if reach(id) {
+	}
+	return false
+}
+
+// reach reports whether gate id reaches an observation point through
+// X-valued gates, memoized for the current xPathExists call.
+func (e *Engine) reach(id int) bool {
+	if e.memoStamp[id] == e.epoch {
+		return e.memoVal[id]
+	}
+	e.memoStamp[id] = e.epoch
+	e.memoVal[id] = false // break cycles conservatively
+	if e.isPO[id] {
+		e.memoVal[id] = true
+		return true
+	}
+	for _, fo := range e.c.Gates[id].Fanout {
+		if e.c.Gates[fo].Type == circuit.DFF {
+			e.memoVal[id] = true // PPO reached
+			return true
+		}
+		if e.val[fo] == logic.X && e.reach(fo) {
+			e.memoVal[id] = true
 			return true
 		}
 	}
@@ -613,8 +823,8 @@ func (e *Engine) backtrace(gate int, want logic.V5) (src int, val logic.V5, ok b
 	id := gate
 	v := want
 	for steps := 0; steps < e.c.NumGates()+1; steps++ {
-		if e.srcSet[id] {
-			if _, done := e.assigned[id]; done {
+		if e.level[id] == 0 { // a source
+			if e.assigned[id] != logic.X {
 				return 0, logic.X, false // already assigned; objective unreachable this way
 			}
 			return id, v, true
@@ -652,21 +862,11 @@ func (e *Engine) cube() TestCube {
 		PI:    make([]logic.V5, e.c.NumPI()),
 		State: make([]logic.V5, e.c.NumSV()),
 	}
-	for i := range tc.PI {
-		tc.PI[i] = logic.X
-	}
-	for i := range tc.State {
-		tc.State[i] = logic.X
-	}
 	for i, id := range e.c.Inputs {
-		if v, ok := e.assigned[id]; ok {
-			tc.PI[i] = v
-		}
+		tc.PI[i] = e.assigned[id]
 	}
 	for pos, id := range e.c.DFFs {
-		if v, ok := e.assigned[id]; ok {
-			tc.State[pos] = v
-		}
+		tc.State[pos] = e.assigned[id]
 	}
 	return tc
 }

@@ -49,6 +49,8 @@ type TransEngine struct {
 
 	// f0 and f1 map original gate IDs to their frame-0 / frame-1 copies.
 	f0, f1 []int
+	// launch is the current search's launch-value constraint.
+	launch lineConstraint
 }
 
 // NewTransEngine builds the two-frame model for c.
@@ -144,11 +146,9 @@ func (te *TransEngine) Generate(f fault.Fault) (Verdict, TransCube) {
 		launch, stuck = logic.One, 1
 	}
 	e := te.eng
-	e.f = fault.Fault{Gate: te.f1[f.Gate], Pin: fault.Stem, Stuck: stuck}
-	e.constraint = &lineConstraint{line: te.f0[f.Gate], want: launch}
-	for k := range e.assigned {
-		delete(e.assigned, k)
-	}
+	e.backtracks = 0
+	te.launch = lineConstraint{line: te.f0[f.Gate], want: launch}
+	e.start(fault.Fault{Gate: te.f1[f.Gate], Pin: fault.Stem, Stuck: stuck}, &te.launch)
 	limit := e.BacktrackLimit
 	if limit <= 0 {
 		limit = 10000
@@ -173,10 +173,7 @@ func (te *TransEngine) cube() TransCube {
 		if !ok {
 			return logic.X
 		}
-		if v, assigned := e.assigned[id]; assigned {
-			return v
-		}
-		return logic.X
+		return e.assigned[id]
 	}
 	for pos, d := range te.c.DFFs {
 		tc.State[pos] = get("si_" + te.c.Gates[d].Name)

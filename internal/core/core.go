@@ -413,9 +413,12 @@ func NewRunnerWithPlan(c *circuit.Circuit, plan scan.Plan) (*Runner, error) {
 }
 
 // retryLimit scales the high-effort PODEM backtrack budget inversely
-// with circuit size: each backtrack costs one O(gates) implication pass,
-// so a fixed limit would make hard instances on large circuits take
-// minutes each.
+// with circuit size. Each backtrack costs one incremental implication,
+// which re-evaluates only the gates downstream of the flipped or popped
+// sources whose values change. That changed cone grows with the
+// circuit, so a fixed limit would let hard instances on large circuits
+// take minutes each. The formula and its clamps decide which faults
+// abort, so changing them changes verdicts and reports.
 func (r *Runner) retryLimit() int {
 	limit := 200000000 / (r.c.NumGates() + 1)
 	if limit > 500000 {
@@ -427,12 +430,32 @@ func (r *Runner) retryLimit() int {
 	return limit
 }
 
+// atpgBacktrackBuckets bounds the atpg_backtracks histogram: decades up
+// to the default limit (10000) and past it for high-effort retries.
+var atpgBacktrackBuckets = []float64{0, 1, 10, 100, 1000, 10000, 100000}
+
 // classifyRemaining marks ATPG-proven untestable (and aborted) faults in
 // fs, using the runner's verdict cache. Faults aborted at the default
 // backtrack limit get a second, 50x harder attempt: a handful of
 // hard-to-prove redundancies would otherwise block the "complete
-// coverage" criterion forever.
-func (r *Runner) classifyRemaining(fs *fault.Set) (untestable, aborted int) {
+// coverage" criterion forever. Every PODEM run counts one verdict in
+// atpg_{testable,untestable,aborted}_total and observes its backtracks
+// in atpg_backtracks; high-effort retries also count in
+// atpg_hard_retries_total.
+func (r *Runner) classifyRemaining(fs *fault.Set, o *obs.Campaign) (untestable, aborted int) {
+	byVerdict := [...]*obs.Counter{
+		atpg.Testable:   o.Counter("atpg_testable_total"),
+		atpg.Untestable: o.Counter("atpg_untestable_total"),
+		atpg.Aborted:    o.Counter("atpg_aborted_total"),
+	}
+	hardRetries := o.Counter("atpg_hard_retries_total")
+	backtracks := o.Histogram("atpg_backtracks", atpgBacktrackBuckets...)
+	generate := func(f fault.Fault) atpg.Verdict {
+		v, _ := r.eng.Generate(f)
+		byVerdict[v].Inc()
+		backtracks.Observe(float64(r.eng.Backtracks()))
+		return v
+	}
 	// Cap the number of expensive high-limit retries per call so a large
 	// circuit with many hard instances cannot stall a campaign; the
 	// verdict cache makes later calls pick up where this one stopped.
@@ -441,15 +464,16 @@ func (r *Runner) classifyRemaining(fs *fault.Set) (untestable, aborted int) {
 		f := fs.Faults[i]
 		v, ok := r.verdicts[f]
 		if !ok {
-			v, _ = r.eng.Generate(f)
+			v = generate(f)
 			r.verdicts[f] = v
 		}
 		if v == atpg.Aborted && !r.hard[f] && retries > 0 {
 			retries--
 			r.hard[f] = true
+			hardRetries.Inc()
 			saved := r.eng.BacktrackLimit
 			r.eng.BacktrackLimit = r.retryLimit()
-			v, _ = r.eng.Generate(f)
+			v = generate(f)
 			r.eng.BacktrackLimit = saved
 			r.verdicts[f] = v
 		}
@@ -531,7 +555,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 		// Classify what TS0 missed so that "complete coverage" means
 		// "all detectable faults" exactly as the paper reports it.
 		span = o.StartPhase("classify")
-		res.Untestable, res.Aborted = r.classifyRemaining(fs)
+		res.Untestable, res.Aborted = r.classifyRemaining(fs, o)
 		span.End()
 		o.Counter("campaign_untestable_total").Add(int64(res.Untestable))
 		running = res.InitialDetected

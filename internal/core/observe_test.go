@@ -239,3 +239,54 @@ func TestFsimSiteAttribution(t *testing.T) {
 		t.Errorf("observation changed detections: %d vs %d", st2.Detected, st.Detected)
 	}
 }
+
+// TestClassifyMetrics checks the ATPG counters against the work
+// classifyRemaining does. A one-backtrack default limit makes many
+// faults abort, so the 32-retry cap binds: every PODEM run counts one
+// verdict and one backtrack observation, retries count separately, and
+// a second call over the same set hits the verdict cache and runs
+// nothing new beyond the retries the cap deferred.
+func TestClassifyMetrics(t *testing.T) {
+	c, err := bmark.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(c)
+	r.eng.BacktrackLimit = 1
+	o := obs.New(nil, nil)
+	fs := r.NewFaultSet()
+	runs := func() (verdicts, observed, retries int64) {
+		s := o.Metrics().Snapshot()
+		for _, name := range []string{"atpg_testable_total", "atpg_untestable_total", "atpg_aborted_total"} {
+			verdicts += s.Counters[name]
+		}
+		return verdicts, s.Histograms["atpg_backtracks"].Count, s.Counters["atpg_hard_retries_total"]
+	}
+
+	untestable, aborted := r.classifyRemaining(fs, o)
+	verdicts, observed, retries := runs()
+	if want := int64(len(fs.Faults)) + retries; verdicts != want || observed != want {
+		t.Errorf("verdict counters %d, backtrack observations %d, want %d (faults plus retries)", verdicts, observed, want)
+	}
+	if retries != 32 {
+		t.Errorf("atpg_hard_retries_total = %d, want the per-call cap 32", retries)
+	}
+	if untestable != fs.Count(fault.Untestable) || aborted != fs.Count(fault.Aborted) {
+		t.Errorf("returned (%d, %d) disagree with the fault set", untestable, aborted)
+	}
+
+	// Same set again: cached verdicts, only deferred retries run.
+	r.classifyRemaining(fs, o)
+	verdicts2, _, retries2 := runs()
+	if verdicts2-verdicts != retries2-retries {
+		t.Errorf("second call ran %d PODEM searches for %d retries", verdicts2-verdicts, retries2-retries)
+	}
+
+	// The unobserved path classifies identically.
+	r2 := NewRunner(c)
+	r2.eng.BacktrackLimit = 1
+	fs2 := r2.NewFaultSet()
+	if u, a := r2.classifyRemaining(fs2, nil); u != untestable || a != aborted {
+		t.Errorf("nil observer: (%d, %d), observed run (%d, %d)", u, a, untestable, aborted)
+	}
+}

@@ -128,17 +128,34 @@ func xor3(a, b t3) t3 {
 	return t1
 }
 
-// And5 is the five-valued AND operator.
-func And5(a, b V5) V5 { return compose(and3(a.good(), b.good()), and3(a.faulty(), b.faulty())) }
+// The operator tables, indexed by operand values: every five-valued
+// operator is its ternary operator applied per machine, precomputed once
+// so that the PODEM engine's inner loop is a lookup.
+var and5T, or5T, xor5T [5][5]V5
+var not5T [5]V5
 
-// Or5 is the five-valued OR operator.
-func Or5(a, b V5) V5 { return compose(or3(a.good(), b.good()), or3(a.faulty(), b.faulty())) }
+func init() {
+	for a := Zero; a <= X; a++ {
+		not5T[a] = compose(not3(a.good()), not3(a.faulty()))
+		for b := Zero; b <= X; b++ {
+			and5T[a][b] = compose(and3(a.good(), b.good()), and3(a.faulty(), b.faulty()))
+			or5T[a][b] = compose(or3(a.good(), b.good()), or3(a.faulty(), b.faulty()))
+			xor5T[a][b] = compose(xor3(a.good(), b.good()), xor3(a.faulty(), b.faulty()))
+		}
+	}
+}
+
+// And5 is the five-valued AND operator. Zero absorbs it.
+func And5(a, b V5) V5 { return and5T[a][b] }
+
+// Or5 is the five-valued OR operator. One absorbs it.
+func Or5(a, b V5) V5 { return or5T[a][b] }
 
 // Not5 is the five-valued NOT operator.
-func Not5(a V5) V5 { return compose(not3(a.good()), not3(a.faulty())) }
+func Not5(a V5) V5 { return not5T[a] }
 
-// Xor5 is the five-valued XOR operator.
-func Xor5(a, b V5) V5 { return compose(xor3(a.good(), b.good()), xor3(a.faulty(), b.faulty())) }
+// Xor5 is the five-valued XOR operator. X absorbs it.
+func Xor5(a, b V5) V5 { return xor5T[a][b] }
 
 // IsError reports whether v carries a fault effect (D or Dbar).
 func (v V5) IsError() bool { return v == D || v == Dbar }

@@ -99,3 +99,89 @@ func TestV5Predicates(t *testing.T) {
 		}
 	}
 }
+
+// TestV5TablesPerMachine checks every table entry against an independent
+// per-machine evaluation: decode each operand into its (good, faulty)
+// bits, apply the Boolean operator to each machine, and re-encode, with
+// any unknown machine value giving X. It also pins the absorbing values
+// the PODEM engine's early exits rely on.
+func TestV5TablesPerMachine(t *testing.T) {
+	bits := func(v V5) (g, f int) {
+		switch v {
+		case Zero:
+			return 0, 0
+		case One:
+			return 1, 1
+		case D:
+			return 1, 0
+		case Dbar:
+			return 0, 1
+		}
+		return -1, -1
+	}
+	enc := func(g, f int) V5 {
+		switch {
+		case g < 0 || f < 0:
+			return X
+		case g == f && g == 0:
+			return Zero
+		case g == f:
+			return One
+		case g == 1:
+			return D
+		}
+		return Dbar
+	}
+	// and3/or3/xor3 over {0, 1, unknown(-1)}.
+	and := func(a, b int) int {
+		if a == 0 || b == 0 {
+			return 0
+		}
+		if a < 0 || b < 0 {
+			return -1
+		}
+		return 1
+	}
+	or := func(a, b int) int {
+		if a == 1 || b == 1 {
+			return 1
+		}
+		if a < 0 || b < 0 {
+			return -1
+		}
+		return 0
+	}
+	xor := func(a, b int) int {
+		if a < 0 || b < 0 {
+			return -1
+		}
+		return a ^ b
+	}
+	for _, a := range all5 {
+		ag, af := bits(a)
+		not := func(x int) int {
+			if x < 0 {
+				return -1
+			}
+			return 1 - x
+		}
+		if got, want := Not5(a), enc(not(ag), not(af)); got != want {
+			t.Errorf("Not5(%s) = %s, want %s", a, got, want)
+		}
+		for _, b := range all5 {
+			bg, bf := bits(b)
+			if got, want := And5(a, b), enc(and(ag, bg), and(af, bf)); got != want {
+				t.Errorf("And5(%s,%s) = %s, want %s", a, b, got, want)
+			}
+			if got, want := Or5(a, b), enc(or(ag, bg), or(af, bf)); got != want {
+				t.Errorf("Or5(%s,%s) = %s, want %s", a, b, got, want)
+			}
+			if got, want := Xor5(a, b), enc(xor(ag, bg), xor(af, bf)); got != want {
+				t.Errorf("Xor5(%s,%s) = %s, want %s", a, b, got, want)
+			}
+		}
+		if And5(Zero, a) != Zero || Or5(One, a) != One || Xor5(X, a) != X {
+			t.Errorf("absorbing value fails for %s", a)
+		}
+	}
+}
