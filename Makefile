@@ -96,7 +96,9 @@ tracesmoke:
 
 # benchgate re-checks the committed benchfsim sweep against the
 # pattern-parallel speedup baseline: the latest benchfsim ledger record
-# must show the single-thread PPSFP win (pattern_speedup_w1 >= 2x).
+# must show the single-thread PPSFP win on TS0 (pattern_speedup_w1 >= 2x)
+# and on the same tests with limited scans inserted
+# (pattern_speedup_limscan_w1 >= 2x, the mixed-shift path).
 # Pure file check — no simulation — so it belongs in the ci gate; a
 # fresh sweep (make bench) re-runs the same check on new numbers.
 benchgate:
@@ -134,7 +136,7 @@ dispatchsmoke:
 # BENCH_WORKERS (default 1 — the mode-comparison configuration, never
 # flagged degenerate on a small host). The sweep writes the
 # machine-readable report (ns/op per mode, speedup vs Workers=1,
-# pattern_speedup_w1) to BENCH_fsim.json, appends it to the performance
+# pattern_speedup_w1, pattern_speedup_limscan_w1) to BENCH_fsim.json, appends it to the performance
 # ledger (PERF_ledger.jsonl) for perf diff / perf check, and gates the
 # fresh record against the pattern-speedup baseline.
 BENCH_WORKERS ?= 1

@@ -11,7 +11,12 @@
 //
 // Each worker count is timed over `rounds` full sessions on a fresh
 // fault set and the best round is kept (standard best-of-N to shed
-// scheduler noise); speedup is relative to Workers=1. Detections are
+// scheduler noise); speedup is relative to Workers=1. When the sweep
+// covers both kernels at Workers=1, the TS0 session is also timed after
+// Procedure 1 inserted limited scans into it (core.InsertLimitedScans,
+// I=1, D1=1), under each forced kernel at Workers=1: every test then
+// carries its own shift schedule, so pattern_speedup_limscan_w1 measures
+// the pattern-parallel kernel's mixed-shift words. Detections are
 // cross-checked against the serial run, so the report doubles as a
 // coarse correctness gate. Speedup beyond 1x requires actual hardware
 // parallelism: the report records GOMAXPROCS and NumCPU, and a sweep
@@ -43,6 +48,7 @@ import (
 	"limscan/internal/fault"
 	"limscan/internal/fsim"
 	"limscan/internal/ledger"
+	"limscan/internal/scan"
 	"limscan/internal/trace"
 )
 
@@ -67,6 +73,10 @@ type report struct {
 	// ns_per_op at Workers=1 — the single-thread PPSFP win. Zero when the
 	// sweep did not cover both modes at Workers=1.
 	PatternSpeedupW1 float64 `json:"pattern_speedup_w1,omitempty"`
+	// PatternSpeedupLimscanW1 is the same ratio on the limited-scan
+	// session (see the package comment); LimscanPoints are its timings.
+	PatternSpeedupLimscanW1 float64       `json:"pattern_speedup_limscan_w1,omitempty"`
+	LimscanPoints           []workerPoint `json:"limscan_points,omitempty"`
 	// DegenerateParallelism marks a sweep whose host could not actually
 	// run the workers in parallel; the speedup column is then scheduling
 	// overhead, not scaling (see the package comment).
@@ -161,22 +171,9 @@ func main() {
 	for _, mode := range sweepModes {
 		var baseNs int64
 		for wi, w := range sweep {
-			best := int64(-1)
-			detected := 0
-			for r := 0; r < *rounds; r++ {
-				fs := fault.NewSet(reps)
-				t0 := time.Now()
-				st, err := s.Run(tests, fs, fsim.Options{Mode: mode, Workers: w, Trace: tracer})
-				el := time.Since(t0).Nanoseconds()
-				if err != nil {
-					fail(err)
-				}
-				if best < 0 || el < best {
-					best = el
-				}
-				detected = st.Detected
-				rep.Cycles = st.Cycles
-			}
+			best, st := timeSession(s, tests, reps, fsim.Options{Mode: mode, Workers: w, Trace: tracer}, *rounds)
+			detected := st.Detected
+			rep.Cycles = st.Cycles
 			if baseDetected < 0 {
 				baseDetected = detected
 			} else if detected != baseDetected {
@@ -207,6 +204,29 @@ func main() {
 	if fp, pp := w1Ns[fsim.FaultParallel], w1Ns[fsim.PatternParallel]; fp > 0 && pp > 0 {
 		rep.PatternSpeedupW1 = float64(fp) / float64(pp)
 		fmt.Fprintf(os.Stderr, "benchfsim: pattern-parallel single-thread speedup %.2fx\n", rep.PatternSpeedupW1)
+
+		limscan := core.InsertLimitedScans(c, tests, 1, 1, cfg)
+		lsNs := map[fsim.Mode]int64{}
+		lsDetected := -1
+		for _, mode := range []fsim.Mode{fsim.FaultParallel, fsim.PatternParallel} {
+			best, st := timeSession(s, limscan, reps, fsim.Options{Mode: mode, Workers: 1, Trace: tracer}, *rounds)
+			detected := st.Detected
+			if lsDetected < 0 {
+				lsDetected = detected
+			} else if detected != lsDetected {
+				fail(fmt.Errorf("limited-scan session: mode=%s detected %d faults, fault-parallel detected %d — determinism violated",
+					mode, detected, lsDetected))
+			}
+			lsNs[mode] = best
+			rep.LimscanPoints = append(rep.LimscanPoints, workerPoint{
+				Mode: mode.String(), Workers: 1, NsPerOp: best, Speedup: 1, Detected: detected,
+			})
+			fmt.Fprintf(os.Stderr, "benchfsim: %s limited-scan mode=%s workers=1 best %s, %d/%d detected\n",
+				c.Name, mode, time.Duration(best).Round(time.Millisecond), detected, len(reps))
+		}
+		rep.PatternSpeedupLimscanW1 = float64(lsNs[fsim.FaultParallel]) / float64(lsNs[fsim.PatternParallel])
+		fmt.Fprintf(os.Stderr, "benchfsim: pattern-parallel single-thread speedup on the limited-scan session %.2fx\n",
+			rep.PatternSpeedupLimscanW1)
 	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
@@ -261,6 +281,7 @@ func main() {
 			rec.MaxSpeedup = analysis.MaxSpeedup
 		}
 		rec.PatternSpeedup = rep.PatternSpeedupW1
+		rec.PatternSpeedupLimscan = rep.PatternSpeedupLimscanW1
 		for _, p := range rep.Points {
 			rec.Points = append(rec.Points, ledger.BenchPoint{
 				Mode: p.Mode, Workers: p.Workers, NsPerOp: p.NsPerOp, Speedup: p.Speedup,
@@ -272,6 +293,26 @@ func main() {
 		}
 		fmt.Printf("ledger record appended to %s\n", *ledPath)
 	}
+}
+
+// timeSession runs tests against a fresh fault set rounds times and
+// returns the best wall time in nanoseconds and the last round's stats.
+func timeSession(s *fsim.Simulator, tests []scan.Test, reps []fault.Fault, o fsim.Options, rounds int) (best int64, st fsim.RunStats) {
+	best = -1
+	for r := 0; r < rounds; r++ {
+		fs := fault.NewSet(reps)
+		t0 := time.Now()
+		var err error
+		st, err = s.Run(tests, fs, o)
+		el := time.Since(t0).Nanoseconds()
+		if err != nil {
+			fail(err)
+		}
+		if best < 0 || el < best {
+			best = el
+		}
+	}
+	return best, st
 }
 
 func fail(err error) {

@@ -534,7 +534,10 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 	span.End()
 
 	var running, nSame, startIter int
-	var selected [][]scan.Test
+	// ls tallies the selected sets' limited-scan statistic as they are
+	// chosen; holding the sets themselves would pin every selected
+	// TS(I,D1) until the report.
+	var ls scan.LSTally
 	if snap == nil {
 		span = o.StartPhase("ts0_sim")
 		st, err := r.runSession(ctx, cfg, SessionRef{}, ts0, fs, o)
@@ -577,7 +580,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 		// the uninterrupted run accumulated.
 		span = o.StartPhase("resume_regen")
 		for _, p := range res.Pairs {
-			selected = append(selected, InsertLimitedScansWithPlan(r.c, r.plan, ts0, p.I, p.D1, cfg))
+			ls.Add(InsertLimitedScansWithPlan(r.c, r.plan, ts0, p.I, p.D1, cfg))
 		}
 		span.End()
 		o.Counter("checkpoint_resumes_total").Inc()
@@ -657,7 +660,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 					I: iter, D1: d1, Detected: st.Detected, Cycles: st.Cycles,
 				})
 				res.TotalCycles += st.Cycles
-				selected = append(selected, ts)
+				ls.Add(ts)
 				improved = true
 				running += st.Detected
 				o.Counter("campaign_pairs_selected_total").Inc()
@@ -700,7 +703,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 	res.Detected = fs.Count(fault.Detected)
 	res.Aborted = fs.Count(fault.Aborted) // aborts that also evaded detection
 	res.Complete = fs.Count(fault.Undetected) == 0
-	res.AvgLS = scan.AverageLS(selected)
+	res.AvgLS = ls.Average()
 	o.Gauge("campaign_coverage").Set(res.Coverage())
 	o.Gauge("campaign_ls_avg").Set(res.AvgLS)
 	o.Emit(obs.Event{

@@ -330,7 +330,7 @@ func (d *Coordinator) Heartbeat(worker, key string, epoch uint64) error {
 	return nil
 }
 
-// Complete delivers a unit result. The three outcomes:
+// Complete delivers a unit result. The four outcomes:
 //
 //   - accepted=true, err=nil: the result was folded in — the caller held
 //     the current lease.
@@ -341,6 +341,10 @@ func (d *Coordinator) Heartbeat(worker, key string, epoch uint64) error {
 //   - err matching errs.Conflict: the caller was fenced — its epoch is
 //     stale (the lease was reaped, and possibly re-granted or completed
 //     by someone else). The payload is rejected.
+//   - err matching errs.NotFound: no active unit set holds the key — it
+//     was never issued, or its set finished, was cancelled or was torn
+//     down before the result arrived. The payload is rejected; the
+//     worker should drop the unit and lease again.
 func (d *Coordinator) Complete(worker, key string, epoch uint64, res *core.UnitResult) (accepted bool, err error) {
 	if res == nil {
 		return false, errs.Newf(errs.Input, "dispatch: nil result for unit %q", key)

@@ -188,6 +188,13 @@ type Simulator struct {
 	// runs; they are reused across Run calls so campaigns pay the clone
 	// cost once per worker, not once per session.
 	pool []*Simulator
+
+	// The pattern-parallel kernel's reusable state, built on its first
+	// session: the circuit-invariant tables, the fault-free trace arena
+	// and the per-worker scratch.
+	pp      *ppTables
+	ppArena ppArena
+	ppPool  []*ppWorker
 }
 
 type laneForce struct {
@@ -252,6 +259,8 @@ func (s *Simulator) Plan() scan.Plan { return s.plan }
 func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats RunStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			// A panic can leave pattern-parallel scratch mid-frame.
+			s.ppPool = nil
 			pe := errs.NewPanic(r, debug.Stack())
 			err = fmt.Errorf("fsim: contained panic: %w", pe)
 			if o := opts.Obs; o != nil {
@@ -291,6 +300,7 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 		if engErr != nil {
 			return RunStats{}, engErr
 		}
+		defer s.endPatternSession()
 	}
 	tr := opts.Trace
 	var runStart time.Duration
@@ -305,7 +315,7 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 	} else {
 		var pw *ppWorker
 		if eng != nil {
-			pw = eng.newWorker()
+			pw = s.ppWorker(0, eng)
 		}
 		var sites *[numSites]logic.Word
 		if opts.Obs != nil && opts.MISRDegree == 0 {
@@ -358,6 +368,9 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 		o.Gauge("fsim_mode").Set(float64(kernel))
 		o.Counter("fsim_runs_total").Inc()
 		o.Counter("fsim_tests_total").Add(int64(len(tests)))
+		if kernel == PatternParallel {
+			o.Counter("fsim_pattern_groups_total").Add(int64(len(groups)))
+		}
 		o.Counter("fsim_batches_total").Add(int64(stats.Batches))
 		o.Counter("fsim_cycles_total").Add(stats.Cycles)
 		o.Counter("fsim_detected_total").Add(int64(stats.Detected))
@@ -380,7 +393,7 @@ func (s *Simulator) Kernel(tests []scan.Test, fs *fault.Set, opts Options) Mode 
 // groups when the pattern-parallel kernel is chosen. Auto picks PPSFP
 // exactly when it applies — full scan plan, stuck-at faults only, exact
 // comparison — and the tests pack densely: at least ppMinTestsPerGroup
-// tests per same-shape group. The rule ignores the fault count, so
+// tests per equal-length group. The rule ignores the fault count, so
 // every dispatch unit and checkpoint chunk of a session picks the same
 // kernel; results are byte-identical either way.
 func (s *Simulator) kernel(tests []scan.Test, faults []fault.Fault, rem []int, opts Options) (Mode, []ppGroup) {

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"limscan/internal/bmark"
+	"limscan/internal/circuit"
 	"limscan/internal/fault"
+	"limscan/internal/obs"
+	"limscan/internal/scan"
 )
 
 // fuzzSpec decodes a circuit shape from the fuzzer's raw bits, clamped
@@ -109,13 +112,19 @@ func FuzzDifferential(f *testing.F) {
 // fault-parallel one over a fuzzed session size, so lane
 // boundaries (empty, partial, exactly full, multi-group sessions) are
 // explored beyond the fixed counts TestParallelPatternOddCounts pins.
-// The seed corpus brackets the 64-lane word: 1, 63 and 65 tests.
+// An observer is attached, so the comparison covers the per-site split
+// (DetectedAtPO/LimitedScan/ScanOut) as well as the states. The tests
+// come from scheduleMixTests: mixed lengths, and equal-length neighbours
+// that differ only in their limited-scan schedules, so every pattern
+// word mixes per-lane shift counts. The seed corpus brackets the 64-lane
+// word: 1, 63 and 65 tests.
 func FuzzPPSFP(f *testing.F) {
 	f.Add(uint64(11), uint64(3|2<<3|7<<6|30<<10|1<<16), uint(1))
 	f.Add(uint64(22), uint64(5|1<<3|4<<6|22<<10), uint(63))
 	f.Add(uint64(33), uint64(2|3<<3|9<<6|50<<10|1<<16), uint(65))
+	f.Add(uint64(44), uint64(6|4<<3|12<<6|41<<10), uint(130))
 	f.Fuzz(func(t *testing.T, seed, shape uint64, n uint) {
-		spec, withScans := fuzzSpec(seed, shape)
+		spec, _ := fuzzSpec(seed, shape)
 		c, err := bmark.Generate(spec)
 		if err != nil {
 			t.Fatalf("generator rejected in-envelope spec %+v: %v", spec, err)
@@ -123,17 +132,17 @@ func FuzzPPSFP(f *testing.F) {
 		reps, _ := fault.Collapse(c, fault.Universe(c))
 		// 0..130 spans the empty session through multi-word groups while
 		// keeping the scalar work bounded.
-		tests := randomTests(c, int(n%131), 3, withScans, seed^0x7777)
+		tests := scheduleMixTests(c, int(n%131), seed^0x7777)
 
 		base := fault.NewSet(reps)
 		s := New(c)
-		bstats, err := s.Run(tests, base, Options{Mode: FaultParallel, Workers: 1})
+		bstats, err := s.Run(tests, base, Options{Mode: FaultParallel, Workers: 1, Obs: obs.New(nil, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		pp := fault.NewSet(reps)
-		pstats, err := s.Run(tests, pp, Options{Mode: PatternParallel, Workers: 1})
+		pstats, err := s.Run(tests, pp, Options{Mode: PatternParallel, Workers: 1, Obs: obs.New(nil, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,6 +156,59 @@ func FuzzPPSFP(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scheduleMixTests builds n tests in runs of equal length: runs of 1-70
+// tests (so a run can straddle the 64-lane word), 1-4 vectors each.
+// Within a run every test repeats the run's scan-in state and vectors
+// and differs only in its limited-scan schedule, which cycles through a
+// nil Shift, an explicit all-zero schedule and random schedules whose
+// per-frame shift counts are 0, the full chain length m, or uniform in
+// [0, m].
+func scheduleMixTests(c *circuit.Circuit, n int, seed uint64) []scan.Test {
+	rng := seed
+	next := func() uint64 {
+		rng += 0x9E3779B97F4A7C15
+		z := rng
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return z ^ (z >> 31)
+	}
+	m := c.NumSV()
+	var tests []scan.Test
+	for len(tests) < n {
+		run := 1 + int(next()%70)
+		base := randomTests(c, 1, 1+int(next()%4), false, next())[0]
+		for i := 0; i < run && len(tests) < n; i++ {
+			t := scan.Test{SI: base.SI, T: base.T}
+			switch kind := next() % 4; {
+			case kind == 1:
+				t.Shift = make([]int, t.Len())
+				t.Fill = make([][]uint8, t.Len())
+			case kind >= 2:
+				t.Shift = make([]int, t.Len())
+				t.Fill = make([][]uint8, t.Len())
+				for u := 1; u < t.Len(); u++ {
+					var sh int
+					switch next() % 3 {
+					case 0:
+						sh = 0
+					case 1:
+						sh = m
+					default:
+						sh = int(next() % uint64(m+1))
+					}
+					t.Shift[u] = sh
+					t.Fill[u] = make([]uint8, sh)
+					for k := range t.Fill[u] {
+						t.Fill[u][k] = uint8(next() & 1)
+					}
+				}
+			}
+			tests = append(tests, t)
+		}
+	}
+	return tests
 }
 
 // TestFuzzTransitionDifferential repeats the fuzz cross-check for the

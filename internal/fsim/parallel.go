@@ -101,10 +101,13 @@ func (s *Simulator) runSharded(tests []scan.Test, fs *fault.Set, rem []int, per,
 	doneAt := make([]time.Time, workers)
 	tr := opts.Trace
 	start := time.Now()
+	if eng != nil {
+		s.growPPPool(workers)
+	}
 	for w := 0; w < workers; w++ {
 		// Pattern-parallel workers carry their own scratch over the shared
 		// read-only engine; only fault-parallel workers need a Simulator
-		// clone from the pool.
+		// clone.
 		var ws *Simulator
 		if eng == nil {
 			ws = s.worker(w)
@@ -127,7 +130,7 @@ func (s *Simulator) runSharded(tests []scan.Test, fs *fault.Set, rem []int, per,
 			}
 			var pw *ppWorker
 			if eng != nil {
-				pw = eng.newWorker()
+				pw = s.ppWorker(w, eng)
 			}
 			for {
 				if stop.Load() {
@@ -185,6 +188,7 @@ func (s *Simulator) runSharded(tests []scan.Test, fs *fault.Set, rem []int, per,
 		}
 	}
 	if pe := panicErr.Load(); pe != nil {
+		s.ppPool = nil // a panicked worker's scratch may be mid-frame
 		if o := opts.Obs; o != nil {
 			o.Counter("fsim_worker_panics_total").Inc()
 			o.Emit(obs.Event{Kind: obs.KindWarning,

@@ -3,6 +3,7 @@ package fsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"limscan/internal/circuit"
 	"limscan/internal/fault"
@@ -24,6 +25,14 @@ import (
 // faulty XOR mask at each observation site, so site attribution and the
 // per-fault verdicts are bit-exact.
 //
+// Tests pack into groups of consecutive equal-length tests, capped at
+// the lane width; each group gets one fault-free trace. A group's tests
+// need not share a limited-scan schedule: lane l carries test lo+l with
+// its own shift counts k_l and fill bits. At frame u every lane shifts
+// by its own k_l — position p of lane l takes old[p-k_l], or its fill
+// bit Fill_l[k_l-1-p] when p < k_l — so Procedure 1's sessions, which
+// draw a fresh random schedule per test, pack as densely as TS0.
+//
 // Equivalence with the fault-parallel session (the argument DESIGN.md
 // spells out, enforced by TestParallelPatternMatchesFaultParallel* and
 // FuzzPPSFP):
@@ -41,15 +50,22 @@ import (
 //     i's final state while scanning in test i+1; each pattern lane
 //     instead observes its own final scan-out over fill 0 and sees the
 //     identical stream.
-//  3. Fault-parallel observations are test-contiguous: all of test i's
+//  3. Lanes are independent: every word operation is bitwise, so a
+//     limited scan whose shift count differs per lane is, lane by lane,
+//     the scan that lane's test performs alone. Step j of a frame's
+//     limited scan is taken by the lanes with k_l >= j; the step mask
+//     limits the observation at the scan output, the movement of the
+//     difference words and the stuck flip-flop re-pin alike. When every
+//     lane shifts the same amount — TS0's frames, shift-free frames and
+//     every final scan-out — the step is a rotation of the ring head.
+//  4. Fault-parallel observations are test-contiguous: all of test i's
 //     observations (limited scans and POs in frame order, then its
 //     scan-out) precede test i+1's. A fault's first divergence is hence
 //     the lowest diverged lane of the first diverged pattern group, at
 //     that lane's first in-session observation site — which is exactly
-//     what runFault tracks.
+//     what runFault tracks (observe keeps each lane's first site, and
+//     within a lane the steps arrive in the lane's own order).
 //
-// Tests pack into groups of consecutive tests sharing a shape (length
-// and limited-scan schedule); each group gets one fault-free trace.
 // Batch geometry, merge order and early-exit verdicts are untouched, so
 // stats, fault states, reports and checkpoints are byte-identical to
 // the fault-parallel kernel at any worker count.
@@ -61,7 +77,8 @@ const ppLanes = 64
 // ppMinTestsPerGroup is the packing density at which Run picks PPSFP on
 // its own: a session averaging fewer tests per group than this replays
 // nearly every test once per fault, and the fault-parallel kernel wins
-// (DESIGN.md §2a has the per-session measurements).
+// (DESIGN.md §2a has the per-session measurements). Groups are cut by
+// test length alone, so every TS0 and TS(I,D1) session clears it.
 const ppMinTestsPerGroup = 2
 
 // ppTraceBudget caps the bytes of fault-free trace prebuilt and shared
@@ -69,6 +86,11 @@ const ppMinTestsPerGroup = 2
 // per-worker single-group trace rebuilt on group switch — same results,
 // bounded memory.
 const ppTraceBudget = 256 << 20
+
+// ppArenaRetain caps the trace storage a Simulator keeps between
+// sessions: a session that needed more frees it at its end rather than
+// pinning it for the rest of the campaign.
+const ppArenaRetain = 16 << 20
 
 // newPatternEngine validates the session for pattern-parallel simulation
 // and builds the engine over its groups. rem indexes the faults that
@@ -87,16 +109,52 @@ func (s *Simulator) newPatternEngine(tests []scan.Test, groups []ppGroup, faults
 	if len(rem) == 0 {
 		return nil, nil // no batches: nothing to trace
 	}
-	return newPPEngine(s, tests, groups), nil
+	if s.pp == nil {
+		s.pp = newPPTables(s.c, s.plan)
+	}
+	return newPPEngine(s.pp, &s.ppArena, tests, groups), nil
 }
 
-// ppEngine is the shared read-only session state: netlist tables, the
-// pattern grouping and the prebuilt fault-free traces. newWorker hands
-// each goroutine its private scratch.
-type ppEngine struct {
-	c     *circuit.Circuit
-	tests []scan.Test
-	m     int // chain length (== N_SV under a full plan)
+// ppWorker returns the i-th pooled pattern-parallel worker bound to e,
+// creating its scratch on first use — on the goroutine that will run it.
+// A sharded run sizes the pool before its goroutines start
+// (growPPPool), so concurrent calls touch distinct slots only.
+func (s *Simulator) ppWorker(i int, e *ppEngine) *ppWorker {
+	s.growPPPool(i + 1)
+	w := s.ppPool[i]
+	if w == nil {
+		w = newPPWorker(s.pp)
+		s.ppPool[i] = w
+	}
+	w.e = e
+	w.ltGroup = -1
+	return w
+}
+
+func (s *Simulator) growPPPool(n int) {
+	for len(s.ppPool) < n {
+		s.ppPool = append(s.ppPool, nil)
+	}
+}
+
+// endPatternSession unbinds the pooled workers from the finished
+// session's engine (so its tests and traces can be collected) and drops
+// trace storage above ppArenaRetain.
+func (s *Simulator) endPatternSession() {
+	for _, w := range s.ppPool {
+		if w != nil {
+			w.e = nil
+			w.ltArena.trim()
+		}
+	}
+	s.ppArena.trim()
+}
+
+// ppTables are the circuit-invariant netlist tables of the
+// pattern-parallel kernel, built once per Simulator.
+type ppTables struct {
+	c *circuit.Circuit
+	m int // chain length (== N_SV under a full plan)
 	// levelStart[l] is where level l's slots begin in a worker's bucket
 	// array: a gate is queued at most once per frame, so level l never
 	// needs more slots than it has gates.
@@ -110,87 +168,92 @@ type ppEngine struct {
 	// gate id feeds at a functional clock (capture fan-in).
 	sinkStart []int32
 	sinkPos   []int32
-
-	groups []ppGroup
-	traces []*ppTrace // prebuilt per group; nil when over ppTraceBudget
 }
 
-// ppGroup is a maximal run of consecutive same-shape tests, capped at the
-// lane width. Lane l carries test lo+l.
-type ppGroup struct {
-	lo, hi int
-	frames int
-	shift  []int // the first test's limited-scan schedule (nil: none)
-}
-
-func newPPEngine(s *Simulator, tests []scan.Test, groups []ppGroup) *ppEngine {
-	c := s.c
-	m := s.plan.Len()
-	e := &ppEngine{
-		c:       c,
-		tests:   tests,
-		m:       m,
-		dffNode: make([]int32, m),
-		dsrc:    make([]int32, m),
-		posOf:   make([]int32, c.NumGates()),
-		isPO:    make([]bool, c.NumGates()),
-		groups:  groups,
-
+func newPPTables(c *circuit.Circuit, plan scan.Plan) *ppTables {
+	m := plan.Len()
+	t := &ppTables{
+		c:         c,
+		m:         m,
+		dffNode:   make([]int32, m),
+		dsrc:      make([]int32, m),
+		posOf:     make([]int32, c.NumGates()),
+		isPO:      make([]bool, c.NumGates()),
 		sinkStart: make([]int32, c.NumGates()+1),
 		sinkPos:   make([]int32, m),
 	}
-	for i := range e.posOf {
-		e.posOf[i] = -1
+	for i := range t.posOf {
+		t.posOf[i] = -1
 	}
-	for p, statePos := range s.plan.Chain {
+	for p, statePos := range plan.Chain {
 		id := c.DFFs[statePos]
 		src := c.Gates[id].Fanin[0]
-		e.dffNode[p] = int32(id)
-		e.dsrc[p] = int32(src)
-		e.posOf[id] = int32(p)
-		e.sinkStart[src+1]++
+		t.dffNode[p] = int32(id)
+		t.dsrc[p] = int32(src)
+		t.posOf[id] = int32(p)
+		t.sinkStart[src+1]++
 	}
 	for id := 0; id < c.NumGates(); id++ {
-		e.sinkStart[id+1] += e.sinkStart[id]
+		t.sinkStart[id+1] += t.sinkStart[id]
 	}
-	fill := append([]int32(nil), e.sinkStart[:c.NumGates()]...)
-	for p, src := range e.dsrc {
-		e.sinkPos[fill[src]] = int32(p)
+	fill := append([]int32(nil), t.sinkStart[:c.NumGates()]...)
+	for p, src := range t.dsrc {
+		t.sinkPos[fill[src]] = int32(p)
 		fill[src]++
 	}
 	for _, id := range c.Outputs {
-		e.isPO[id] = true
+		t.isPO[id] = true
 	}
-	e.levelStart = make([]int32, c.Depth()+2)
+	t.levelStart = make([]int32, c.Depth()+2)
 	for i := range c.Gates {
-		e.levelStart[c.Gates[i].Level+1]++
+		t.levelStart[c.Gates[i].Level+1]++
 	}
-	for l := 1; l < len(e.levelStart); l++ {
-		e.levelStart[l] += e.levelStart[l-1]
+	for l := 1; l < len(t.levelStart); l++ {
+		t.levelStart[l] += t.levelStart[l-1]
 	}
+	return t
+}
 
-	// Prebuild the traces once, shared read-only across workers, unless
-	// the session is too large to hold them all — then each worker
-	// rebuilds one group's trace at a time.
-	var words int64
+// ppEngine is the shared read-only session state: the netlist tables,
+// the pattern grouping and the prebuilt fault-free traces. Pooled
+// ppWorkers bind to it for the session.
+type ppEngine struct {
+	*ppTables
+	tests  []scan.Test
+	groups []ppGroup
+	traces []ppTrace // prebuilt per group; nil when over ppTraceBudget
+}
+
+// ppGroup is a maximal run of consecutive equal-length tests, capped at
+// the lane width. Lane l carries test lo+l.
+type ppGroup struct {
+	lo, hi int
+	frames int
+}
+
+// newPPEngine builds the session engine, prebuilding every group's
+// trace in arena a unless the traces would exceed ppTraceBudget — then
+// each worker rebuilds one group's trace at a time in its own arena.
+func newPPEngine(t *ppTables, a *ppArena, tests []scan.Test, groups []ppGroup) *ppEngine {
+	e := &ppEngine{ppTables: t, tests: tests, groups: groups}
+	var words, rows int64
 	for _, g := range groups {
-		words += int64(g.frames) * int64(c.NumGates())
-		words += int64(g.frames+1) * int64(m)
-		for u := 0; u < g.frames; u++ {
-			words += int64(groupShift(g, u))
-		}
+		w, r := e.traceSize(g)
+		words += int64(w)
+		rows += int64(r)
 	}
 	if words*8 <= ppTraceBudget {
-		e.traces = make([]*ppTrace, len(groups))
+		a.reset(int(words), int(rows))
+		e.traces = make([]ppTrace, len(groups))
 		for i, g := range groups {
-			e.traces[i] = e.buildTrace(g)
+			e.traces[i] = e.buildTrace(g, a)
 		}
 	}
 	return e
 }
 
 // shiftAt is a test's effective limited-scan schedule (nil Shift means no
-// shifts anywhere — the same shape as an explicit all-zero schedule).
+// shifts anywhere — the same as an explicit all-zero schedule).
 func shiftAt(t *scan.Test, u int) int {
 	if t.Shift == nil {
 		return 0
@@ -198,29 +261,16 @@ func shiftAt(t *scan.Test, u int) int {
 	return t.Shift[u]
 }
 
-func sameShape(a, b *scan.Test) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for u := 0; u < a.Len(); u++ {
-		if shiftAt(a, u) != shiftAt(b, u) {
-			return false
-		}
-	}
-	return true
-}
-
-// ppGroups chunks consecutive same-shape tests into lane-width groups.
-// A group shares its first test's schedule, which Run keeps unmodified
-// for the session.
+// ppGroups chunks consecutive equal-length tests into lane-width groups.
+// Limited-scan schedules play no part: each lane keeps its own.
 func ppGroups(tests []scan.Test) []ppGroup {
 	var gs []ppGroup
 	for i := 0; i < len(tests); {
 		j := i + 1
-		for j < len(tests) && j-i < ppLanes && sameShape(&tests[i], &tests[j]) {
+		for j < len(tests) && j-i < ppLanes && tests[j].Len() == tests[i].Len() {
 			j++
 		}
-		gs = append(gs, ppGroup{lo: i, hi: j, frames: tests[i].Len(), shift: tests[i].Shift})
+		gs = append(gs, ppGroup{lo: i, hi: j, frames: tests[i].Len()})
 		i = j
 	}
 	return gs
@@ -236,77 +286,137 @@ type ppTrace struct {
 	// after frame u's capture (so statePost[u] is the state entering
 	// frame u's limited scan).
 	statePost [][]logic.Word
-	// fill[u] holds frame u's packed limited-scan fill bits.
+	// fill[u][j] packs the lanes' (j+1)-th fill bits of frame u's limited
+	// scan (zero in lanes shifting j times or fewer); len(fill[u]) is the
+	// frame's deepest shift count, 0 without a limited scan.
 	fill [][]logic.Word
+	// mask[u][j] holds the lanes that take a (j+1)-th shift at frame u.
+	// It is nil when every lane shifts len(fill[u]) times.
+	mask [][]logic.Word
 }
 
-// buildTrace simulates one group's fault-free session, packing test lo+l
-// into lane l. Each frame evaluates in place in its slice of one
-// allocation; the states share a second.
-func (e *ppEngine) buildTrace(g ppGroup) *ppTrace {
+// frameShifts returns frame u's deepest shift count over the group's
+// lanes and whether every lane shifts that much.
+func (e *ppEngine) frameShifts(g ppGroup, u int) (deepest int, uniform bool) {
+	deepest = shiftAt(&e.tests[g.lo], u)
+	uniform = true
+	for i := g.lo + 1; i < g.hi; i++ {
+		if k := shiftAt(&e.tests[i], u); k != deepest {
+			uniform = false
+			deepest = max(deepest, k)
+		}
+	}
+	return deepest, uniform
+}
+
+// traceSize returns the words and row headers buildTrace carves for g.
+func (e *ppEngine) traceSize(g ppGroup) (words, rows int) {
+	words = g.frames*e.c.NumGates() + (g.frames+1)*e.m + e.m + 1 + e.c.NumPI()
+	for u := 0; u < g.frames; u++ {
+		S, uniform := e.frameShifts(g, u)
+		words += S
+		if !uniform {
+			words += S
+		}
+	}
+	return words, 4*g.frames + 1
+}
+
+// buildTrace simulates one group's fault-free session in arena a,
+// packing test lo+l into lane l.
+func (e *ppEngine) buildTrace(g ppGroup, a *ppArena) ppTrace {
 	c := e.c
 	m := e.m
 	ng := c.NumGates()
 	nl := g.hi - g.lo
-	tr := &ppTrace{
-		frameVals: make([][]logic.Word, g.frames),
-		statePost: make([][]logic.Word, g.frames+1),
-		fill:      make([][]logic.Word, g.frames),
+	tr := ppTrace{
+		frameVals: a.rows(g.frames),
+		statePost: a.rows(g.frames + 1),
+		fill:      a.rows(g.frames),
+		mask:      a.rows(g.frames),
 	}
-	vals := make([]logic.Word, g.frames*ng)
-	states := make([]logic.Word, (g.frames+1)*m)
 	for u := range tr.frameVals {
-		tr.frameVals[u] = vals[u*ng : (u+1)*ng : (u+1)*ng]
+		tr.frameVals[u] = a.words(ng)
 	}
 	for u := range tr.statePost {
-		tr.statePost[u] = states[u*m : (u+1)*m : (u+1)*m]
+		tr.statePost[u] = a.words(m)
 	}
+	// byK[k] collects the lanes shifting k times at the current frame;
+	// pi packs the frame's primary input vectors.
+	byK := a.words(m + 1)
+	pi := a.words(c.NumPI())
 	// Complete scan-in, analytically: the state is exactly the packed SI.
-	for p := 0; p < m; p++ {
-		var pw logic.Word
-		for l := 0; l < nl; l++ {
-			if e.tests[g.lo+l].SI.Get(p) != 0 {
-				pw |= logic.Lane(l)
-			}
-		}
-		tr.statePost[0][p] = pw
+	for l := 0; l < nl; l++ {
+		e.tests[g.lo+l].SI.OrLane(tr.statePost[0], l)
 	}
-	state := make([]logic.Word, m) // the state a frame evaluates from
+	var ks [ppLanes + 1]int // distinct shift counts of the frame
 	for u := 0; u < g.frames; u++ {
-		copy(state, tr.statePost[u])
-		if S := groupShift(g, u); S > 0 {
-			fw := make([]logic.Word, S)
-			for j := 0; j < S; j++ {
-				var pw logic.Word
-				for l := 0; l < nl; l++ {
-					if e.tests[g.lo+l].Fill[u][j] != 0 {
-						pw |= logic.Lane(l)
+		S, uniform := e.frameShifts(g, u)
+		nk := 0
+		if uniform {
+			// Lanes past the group's tests shift along; nothing observes them.
+			ks[0], byK[S], nk = S, logic.AllOnes, 1
+		} else {
+			for l := 0; l < nl; l++ {
+				k := shiftAt(&e.tests[g.lo+l], u)
+				if byK[k] == 0 {
+					ks[nk] = k
+					nk++
+				}
+				byK[k] |= logic.Lane(l)
+			}
+			if byK[0] == 0 {
+				ks[nk] = 0
+				nk++
+			}
+			byK[0] |= ^lanesBelow(nl) // spare lanes hold
+		}
+		if S > 0 {
+			fw := a.words(S)
+			for l := 0; l < nl; l++ {
+				t := &e.tests[g.lo+l]
+				for j := 0; j < shiftAt(t, u); j++ {
+					if t.Fill[u][j] != 0 {
+						fw[j] |= logic.Lane(l)
 					}
 				}
-				fw[j] = pw
 			}
 			tr.fill[u] = fw
-			// S scan shifts: position p takes the value S below it, the
-			// lowest S positions take the fill bits (last fed lands at 0).
-			for p := m - 1; p >= S; p-- {
-				state[p] = state[p-S]
-			}
-			for p := 0; p < S && p < m; p++ {
-				state[p] = fw[S-1-p]
-			}
-		}
-		val := tr.frameVals[u]
-		for i, id := range c.Inputs {
-			var pw logic.Word
-			for l := 0; l < nl; l++ {
-				if e.tests[g.lo+l].T[u].Get(i) != 0 {
-					pw |= logic.Lane(l)
+			if !uniform {
+				// Step j+1 is taken by the lanes shifting more than j times.
+				mk := a.words(S)
+				var acc logic.Word
+				for k := S; k >= 1; k-- {
+					acc |= byK[k]
+					mk[k-1] = acc
 				}
+				tr.mask[u] = mk
 			}
-			val[id] = pw
 		}
-		for p := 0; p < m; p++ {
-			val[e.dffNode[p]] = state[p]
+		// Each lane class shifts by its k: position p takes the value k
+		// below it, the lowest k positions take the fill bits (last fed
+		// lands at 0).
+		pre := tr.statePost[u]
+		val := tr.frameVals[u]
+		for _, k := range ks[:nk] {
+			M := byK[k]
+			byK[k] = 0
+			for p := 0; p < m; p++ {
+				var v logic.Word
+				if p >= k {
+					v = pre[p-k]
+				} else {
+					v = tr.fill[u][k-1-p]
+				}
+				val[e.dffNode[p]] |= v & M
+			}
+		}
+		clear(pi)
+		for l := 0; l < nl; l++ {
+			e.tests[g.lo+l].T[u].OrLane(pi, l)
+		}
+		for i, id := range c.Inputs {
+			val[id] = pi[i]
 		}
 		e.evalGood(val)
 		for p := 0; p < m; p++ {
@@ -316,11 +426,51 @@ func (e *ppEngine) buildTrace(g ppGroup) *ppTrace {
 	return tr
 }
 
-func groupShift(g ppGroup, u int) int {
-	if g.shift == nil {
-		return 0
+// ppArena is reusable trace storage: one word slab and one slab of row
+// headers, both carved front to back and zeroed as they are handed out.
+type ppArena struct {
+	wordBuf []logic.Word
+	rowBuf  [][]logic.Word
+}
+
+// reset readies the arena for nw words and nr row headers, reusing its
+// slabs when they are large enough.
+func (a *ppArena) reset(nw, nr int) {
+	if cap(a.wordBuf) < nw {
+		a.wordBuf = make([]logic.Word, 0, nw)
 	}
-	return g.shift[u]
+	if cap(a.rowBuf) < nr {
+		a.rowBuf = make([][]logic.Word, 0, nr)
+	}
+	a.wordBuf = a.wordBuf[:0]
+	a.rowBuf = a.rowBuf[:0]
+}
+
+func (a *ppArena) words(n int) []logic.Word {
+	lo := len(a.wordBuf)
+	a.wordBuf = a.wordBuf[:lo+n]
+	w := a.wordBuf[lo : lo+n : lo+n]
+	clear(w)
+	return w
+}
+
+func (a *ppArena) rows(n int) [][]logic.Word {
+	lo := len(a.rowBuf)
+	a.rowBuf = a.rowBuf[:lo+n]
+	r := a.rowBuf[lo : lo+n : lo+n]
+	clear(r)
+	return r
+}
+
+// trim frees storage above ppArenaRetain and drops the row headers, so
+// a retained arena pins no traces of the finished session but its own
+// slab.
+func (a *ppArena) trim() {
+	if cap(a.wordBuf)*8 > ppArenaRetain {
+		*a = ppArena{}
+		return
+	}
+	clear(a.rowBuf[:cap(a.rowBuf)])
 }
 
 // evalGood evaluates the combinational core fault-free over the pattern
@@ -388,9 +538,12 @@ type ppFault struct {
 	sv   logic.Word // stuck value spread across all lanes
 }
 
-// ppWorker is one goroutine's private kernel state.
+// ppWorker is one goroutine's private kernel state. Its scratch is sized
+// by the circuit alone, so a Simulator pools its workers across
+// sessions; ppWorker binds one to each session's engine.
 type ppWorker struct {
-	e *ppEngine
+	t *ppTables // the hot paths' netlist tables, fixed for the worker's life
+	e *ppEngine // the session it is bound to
 
 	// Per-frame event state. diff is zero except on the nodes listed in
 	// active, which the next frame clears; inBkt is set only while a
@@ -406,49 +559,63 @@ type ppWorker struct {
 
 	// Scan-chain state difference, as a rotating ring mirroring the
 	// fault-parallel simulator's: chain position p lives in slot
-	// (rhead+p) mod m, so a scan shift is a head rotation. Only dirty
-	// (nonzero) slots are ever touched.
+	// (rhead+p) mod m, so a uniform scan shift is a head rotation. Only
+	// dirty (nonzero) slots are ever touched.
 	ring       []logic.Word
 	rhead      int
 	isDirty    []bool
 	dirtySlots []int32 // may hold stale entries; isDirty is authoritative
 	dirtyCount int
-
 	// Per-group session accumulators.
 	laneMask  logic.Word
 	diverged  logic.Word
 	siteFirst [numSites]logic.Word
 	stopEarly bool
 
+	// A mixed-shift scan operation splits the dirty slots in two. moving
+	// lists, in descending chain-position order, the slots that may hold
+	// bits of lanes still shifting (double-buffered with nextMoving
+	// across steps); parked lists the slots holding bits of lanes done
+	// shifting, which never move again in this operation (inParked
+	// dedupes it).
+	moving, nextMoving []int32
+	parked             []int32
+	inParked           []bool
+
 	// Lazily rebuilt trace for sessions over ppTraceBudget.
-	lt      *ppTrace
+	lt      ppTrace
 	ltGroup int
+	ltArena ppArena
 }
 
-func (e *ppEngine) newWorker() *ppWorker {
-	ng := e.c.NumGates()
+func newPPWorker(t *ppTables) *ppWorker {
+	ng := t.c.NumGates()
 	return &ppWorker{
-		e:         e,
+		t:         t,
 		diff:      make([]logic.Word, ng),
 		inBkt:     make([]bool, ng),
 		bucket:    make([]int32, ng),
-		bucketLen: make([]int32, len(e.levelStart)-1),
+		bucketLen: make([]int32, len(t.levelStart)-1),
 		active:    make([]int32, 0, ng),
-		ring:      make([]logic.Word, e.m),
-		isDirty:   make([]bool, e.m),
+		ring:      make([]logic.Word, t.m),
+		isDirty:   make([]bool, t.m),
+		inParked:  make([]bool, t.m),
 		ltGroup:   -1,
 	}
 }
 
 func (w *ppWorker) traceFor(gi int) *ppTrace {
 	if w.e.traces != nil {
-		return w.e.traces[gi]
+		return &w.e.traces[gi]
 	}
 	if w.ltGroup != gi {
-		w.lt = w.e.buildTrace(w.e.groups[gi])
+		g := w.e.groups[gi]
+		nw, nr := w.e.traceSize(g)
+		w.ltArena.reset(nw, nr)
+		w.lt = w.e.buildTrace(g, &w.ltArena)
 		w.ltGroup = gi
 	}
-	return w.lt
+	return &w.lt
 }
 
 // runBatch simulates every fault of the batch, one at a time across all
@@ -501,14 +668,14 @@ func (w *ppWorker) runBatch(faults []fault.Fault, batch []int, opts Options, sit
 
 func (w *ppWorker) classify(f fault.Fault) ppFault {
 	pf := ppFault{gate: f.Gate, pin: f.Pin, sv: logic.Spread(f.Stuck)}
-	g := &w.e.c.Gates[f.Gate]
+	g := &w.t.c.Gates[f.Gate]
 	switch {
 	case g.Type == circuit.DFF && f.Pin == fault.Stem:
 		pf.kind = ppStateStuck
-		pf.pos = int(w.e.posOf[f.Gate])
+		pf.pos = int(w.t.posOf[f.Gate])
 	case g.Type == circuit.DFF:
 		pf.kind = ppCaptureStuck
-		pf.pos = int(w.e.posOf[f.Gate])
+		pf.pos = int(w.t.posOf[f.Gate])
 	case g.Type == circuit.PI && f.Pin == fault.Stem:
 		pf.kind = ppSourceStem
 	case f.Pin == fault.Stem:
@@ -521,6 +688,9 @@ func (w *ppWorker) classify(f fault.Fault) ppFault {
 
 // runFault replays one group's session for one fault as a difference
 // against the fault-free trace, leaving the lanes that diverged and their
+
+// runFault replays one group's session for one fault as a difference
+// against the fault-free trace, leaving the lanes that diverged and their
 // first sites in w.diverged / w.siteFirst.
 func (w *ppWorker) runFault(g ppGroup, tr *ppTrace, f ppFault) {
 	w.laneMask = lanesBelow(g.hi - g.lo)
@@ -528,7 +698,7 @@ func (w *ppWorker) runFault(g ppGroup, tr *ppTrace, f ppFault) {
 	w.siteFirst = [numSites]logic.Word{}
 	w.clearRing()
 
-	m := w.e.m
+	m := w.t.m
 	// Analytic scan-in (equivalence point 1): no difference survives a
 	// complete scan except a stuck flip-flop output, which corrupts its
 	// own position and everything that shifted past it.
@@ -538,10 +708,8 @@ func (w *ppWorker) runFault(g ppGroup, tr *ppTrace, f ppFault) {
 		}
 	}
 	for u := 0; u < g.frames; u++ {
-		if S := groupShift(g, u); S > 0 {
-			if w.scanOp(S, tr.statePost[u], tr.fill[u], siteLimitedScan, f) {
-				return
-			}
+		if S := len(tr.fill[u]); S > 0 && w.scanOp(tr.mask[u], tr.statePost[u], tr.fill[u], S, siteLimitedScan, f) {
+			return
 		}
 		w.frame(u, tr, f)
 		if w.stopEarly && w.diverged != 0 {
@@ -552,7 +720,7 @@ func (w *ppWorker) runFault(g ppGroup, tr *ppTrace, f ppFault) {
 	// Final complete scan-out over fill 0 (equivalence point 2: the
 	// fault-parallel session observes the same stream while scanning in
 	// the next test, or at the session end).
-	w.scanOp(m, tr.statePost[g.frames], nil, siteScanOut, f)
+	w.scanOp(nil, tr.statePost[g.frames], nil, m, siteScanOut, f)
 }
 
 // runEmptySession mirrors a session with no tests: the fault-parallel
@@ -563,46 +731,56 @@ func (w *ppWorker) runEmptySession(f ppFault) {
 	w.diverged = 0
 	w.siteFirst = [numSites]logic.Word{}
 	w.clearRing()
-	if f.kind != ppStateStuck || w.e.m == 0 {
+	if f.kind != ppStateStuck || w.t.m == 0 {
 		return
 	}
 	// reset zeroes every lane, then pins the stuck position.
 	w.setRingPos(f.pos, f.sv)
-	w.scanOp(w.e.m, nil, nil, siteScanOut, f)
+	w.scanOp(nil, nil, nil, w.t.m, siteScanOut, f)
 }
 
-// scanOp performs S scan shifts on the difference ring: each shift
-// observes the slot leaving the chain, rotates the head, and re-pins a
-// stuck flip-flop output against the fault-free trajectory (pre is the
-// state entering the operation, fill the packed incoming bits; both may
-// be nil, meaning all-zero — the final scan-out). Returns true when the
-// early exit fired.
-func (w *ppWorker) scanOp(S int, pre, fill []logic.Word, site int, f ppFault) bool {
-	m := w.e.m
-	if m == 0 || S == 0 {
-		return false
-	}
+// scanOp performs one scan operation of up to S shifts on the difference
+// ring. masks[j-1] holds the lanes that take a j-th shift (equivalence
+// point 3); nil masks means every lane shifts S times, and a step is a
+// head rotation. Otherwise each step moves the dirty words one position
+// up under its mask. Either way step j observes the masked bits leaving
+// the chain and re-pins a stuck flip-flop output in the masked lanes
+// against the fault-free trajectory: pre is the state entering the
+// operation, fill the packed incoming bits (both may be nil, meaning
+// all-zero — the final scan-out). Returns true when the early exit
+// fired.
+func (w *ppWorker) scanOp(masks, pre, fill []logic.Word, S, site int, f ppFault) bool {
+	m := w.t.m
 	hasStuck := f.kind == ppStateStuck
-	if w.dirtyCount == 0 && !hasStuck {
+	if m == 0 || S == 0 || (w.dirtyCount == 0 && !hasStuck) {
 		// Nothing dirty and nothing re-pinning: the operation only moves
 		// agreeing values past the scan output.
-		w.rhead = ((w.rhead-S)%m + m) % m
 		return false
 	}
+	if masks != nil {
+		w.startMixed()
+	}
+	mask := logic.AllOnes
+	fired := false
 	for j := 1; j <= S; j++ {
-		out := w.rhead - 1
-		if out < 0 {
-			out += m
+		if masks == nil {
+			out := w.rhead - 1
+			if out < 0 {
+				out += m
+			}
+			if w.isDirty[out] {
+				w.observe(site, w.ring[out])
+				w.ring[out] = 0
+				w.isDirty[out] = false
+				w.dirtyCount--
+			}
+			// The vacated slot becomes position 0; its fill difference is
+			// 0 (fill bits agree across the good and faulty machines).
+			w.rhead = out
+		} else {
+			mask = masks[j-1]
+			w.maskedStep(mask, site)
 		}
-		if w.isDirty[out] {
-			w.observe(site, w.ring[out])
-			w.ring[out] = 0
-			w.isDirty[out] = false
-			w.dirtyCount--
-		}
-		// The vacated slot becomes position 0; its fill difference is 0
-		// (fill bits agree across the good and faulty machines).
-		w.rhead = out
 		if hasStuck {
 			// Fault-free value at the stuck position after j shifts: the
 			// bit j below it before the operation, or an incoming fill bit.
@@ -614,16 +792,118 @@ func (w *ppWorker) scanOp(S int, pre, fill []logic.Word, site int, f ppFault) bo
 			} else if fill != nil {
 				good = fill[j-1-f.pos]
 			}
-			w.setRingPos(f.pos, good^f.sv)
-		} else if w.dirtyCount == 0 {
-			w.rhead = ((w.rhead-(S-j))%m + m) % m
-			break
+			if masks == nil {
+				w.setRingPos(f.pos, good^f.sv)
+			} else {
+				w.pinMasked(f.pos, good^f.sv, mask)
+			}
+		} else if w.dirtyCount == 0 || (masks != nil && len(w.moving) == 0) {
+			break // nothing left to move
 		}
 		if w.stopEarly && w.diverged != 0 {
-			return true
+			fired = true
+			break
 		}
 	}
-	return false
+	if masks != nil {
+		w.endMixed()
+	}
+	return fired
+}
+
+// startMixed lists every dirty slot as moving, in descending chain
+// position order.
+func (w *ppWorker) startMixed() {
+	w.moving = w.moving[:0]
+	for _, slot := range w.dirtySlots {
+		if w.isDirty[slot] {
+			w.moving = append(w.moving, slot)
+		}
+	}
+	slices.SortFunc(w.moving, w.byPosDesc)
+	w.moving = slices.Compact(w.moving)
+}
+
+// endMixed hands the dirty set back to the slot list the frame pass
+// reads.
+func (w *ppWorker) endMixed() {
+	w.dirtySlots = append(w.dirtySlots[:0], w.parked...)
+	for _, slot := range w.moving {
+		if !w.inParked[slot] {
+			w.dirtySlots = append(w.dirtySlots, slot)
+		}
+	}
+	for _, slot := range w.parked {
+		w.inParked[slot] = false
+	}
+	w.parked = w.parked[:0]
+}
+
+// byPosDesc orders ring slots by descending chain position.
+func (w *ppWorker) byPosDesc(a, b int32) int {
+	return w.posOf(b) - w.posOf(a)
+}
+
+func (w *ppWorker) posOf(slot int32) int {
+	p := int(slot) - w.rhead
+	if p < 0 {
+		p += w.t.m
+	}
+	return p
+}
+
+// maskedStep is one scan shift taken by the lanes of mask: their part
+// of every moving word moves one position up (walking down from the
+// scan output, so a position's own masked lanes have left before the
+// ones below arrive), and their part of the last position is observed.
+// The other lanes have finished shifting; their bits park where they
+// are.
+func (w *ppWorker) maskedStep(mask logic.Word, site int) {
+	m := w.t.m
+	out := int32(w.rhead - 1) // chain position m-1
+	if out < 0 {
+		out += int32(m)
+	}
+	next := w.nextMoving[:0]
+	for _, slot := range w.moving {
+		d := w.ring[slot]
+		if d&^mask != 0 && !w.inParked[slot] {
+			w.inParked[slot] = true
+			w.parked = append(w.parked, slot)
+		}
+		mv := d & mask
+		if mv == 0 {
+			continue
+		}
+		if slot == out {
+			w.observe(site, mv)
+		} else {
+			up := slot + 1
+			if int(up) == m {
+				up = 0
+			}
+			w.putSlot(int(up), w.ring[up]|mv)
+			if len(next) == 0 || next[len(next)-1] != up {
+				next = append(next, up)
+			}
+		}
+		w.putSlot(int(slot), d&^mask)
+	}
+	w.nextMoving, w.moving = w.moving, next
+}
+
+// pinMasked sets the lanes of mask at chain position p to d; they take
+// the next step, so the slot joins the moving list.
+func (w *ppWorker) pinMasked(p int, d, mask logic.Word) {
+	slot := w.slotOf(p)
+	w.putSlot(slot, w.ring[slot]&^mask|d&mask)
+	if d&mask == 0 {
+		return
+	}
+	i, found := slices.BinarySearchFunc(w.moving, int32(slot), w.byPosDesc)
+	if !found {
+		w.moving = slices.Insert(w.moving, i, int32(slot))
+	}
 }
 
 // frame runs one event-driven difference pass: seed the state and fault
@@ -645,9 +925,9 @@ func (w *ppWorker) frame(u int, tr *ppTrace, f ppFault) {
 			}
 			p := int(slot) - w.rhead
 			if p < 0 {
-				p += w.e.m
+				p += w.t.m
 			}
-			w.stampNode(w.e.dffNode[p], w.ring[slot])
+			w.stampNode(w.t.dffNode[p], w.ring[slot])
 		}
 	}
 	switch f.kind {
@@ -661,7 +941,7 @@ func (w *ppWorker) frame(u int, tr *ppTrace, f ppFault) {
 	for lvl := w.minLvl; lvl <= w.maxLvl; lvl++ {
 		// Gates queue only at levels above the one being evaluated, so
 		// this level's slots are final.
-		b := w.bucket[w.e.levelStart[lvl]:][:w.bucketLen[lvl]]
+		b := w.bucket[w.t.levelStart[lvl]:][:w.bucketLen[lvl]]
 		for _, id := range b {
 			w.inBkt[id] = false
 			w.evalDiff(int(id), u, tr, f)
@@ -678,10 +958,10 @@ func (w *ppWorker) frame(u int, tr *ppTrace, f ppFault) {
 func (w *ppWorker) stampNode(id int32, d logic.Word) {
 	w.diff[id] = d
 	w.active = append(w.active, id)
-	if w.e.isPO[id] {
+	if w.t.isPO[id] {
 		w.poHit = append(w.poHit, id)
 	}
-	gs := w.e.c.Gates
+	gs := w.t.c.Gates
 	for _, fo := range gs[id].Fanout {
 		if gs[fo].Type != circuit.DFF {
 			w.push(int32(fo))
@@ -694,8 +974,8 @@ func (w *ppWorker) push(id int32) {
 		return
 	}
 	w.inBkt[id] = true
-	lvl := w.e.c.Gates[id].Level
-	w.bucket[int(w.e.levelStart[lvl])+int(w.bucketLen[lvl])] = id
+	lvl := w.t.c.Gates[id].Level
+	w.bucket[int(w.t.levelStart[lvl])+int(w.bucketLen[lvl])] = id
 	w.bucketLen[lvl]++
 	if lvl < w.minLvl {
 		w.minLvl = lvl
@@ -715,7 +995,7 @@ func (w *ppWorker) in(fi int, fv []logic.Word) logic.Word {
 // values and stamps it if its output actually changed.
 func (w *ppWorker) evalDiff(id int, u int, tr *ppTrace, f ppFault) {
 	fv := tr.frameVals[u]
-	gate := &w.e.c.Gates[id]
+	gate := &w.t.c.Gates[id]
 	var out logic.Word
 	switch {
 	case f.kind == ppGateStem && f.gate == id:
@@ -828,7 +1108,7 @@ func (w *ppWorker) capture(u int, tr *ppTrace, f ppFault) {
 	}
 	w.dirtySlots = w.dirtySlots[:0]
 	for _, id := range w.active {
-		for _, p := range w.e.sinkPos[w.e.sinkStart[id]:w.e.sinkStart[id+1]] {
+		for _, p := range w.t.sinkPos[w.t.sinkStart[id]:w.t.sinkStart[id+1]] {
 			w.setRingPos(int(p), w.diff[id])
 		}
 	}
@@ -837,11 +1117,19 @@ func (w *ppWorker) capture(u int, tr *ppTrace, f ppFault) {
 	}
 }
 
+// setRingPos sets chain position p's difference word, listing the slot
+// when it turns dirty.
 func (w *ppWorker) setRingPos(p int, d logic.Word) {
-	slot := w.rhead + p
-	if slot >= w.e.m {
-		slot -= w.e.m
+	slot := w.slotOf(p)
+	if d != 0 && !w.isDirty[slot] {
+		w.dirtySlots = append(w.dirtySlots, int32(slot))
 	}
+	w.putSlot(slot, d)
+}
+
+// putSlot sets a ring slot's difference word and its dirty bookkeeping;
+// the caller keeps whichever dirty list it iterates.
+func (w *ppWorker) putSlot(slot int, d logic.Word) {
 	if d == 0 {
 		if w.isDirty[slot] {
 			w.ring[slot] = 0
@@ -854,8 +1142,16 @@ func (w *ppWorker) setRingPos(p int, d logic.Word) {
 	if !w.isDirty[slot] {
 		w.isDirty[slot] = true
 		w.dirtyCount++
-		w.dirtySlots = append(w.dirtySlots, int32(slot))
 	}
+}
+
+// slotOf maps chain position p to its ring slot.
+func (w *ppWorker) slotOf(p int) int {
+	slot := w.rhead + p
+	if slot >= w.t.m {
+		slot -= w.t.m
+	}
+	return slot
 }
 
 func (w *ppWorker) clearRing() {

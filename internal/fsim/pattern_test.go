@@ -218,7 +218,9 @@ func TestParallelPatternRejections(t *testing.T) {
 
 // TestParallelPatternMetrics checks the kernel observability surface:
 // the fsim_mode gauge and the fsim_run span's mode argument record the
-// kernel that actually ran, whether forced or chosen.
+// kernel that actually ran, whether forced or chosen, and
+// fsim_pattern_groups_total counts the lane words a pattern-parallel
+// session packed its tests into (none for a fault-parallel one).
 func TestParallelPatternMetrics(t *testing.T) {
 	c, err := bmark.Load("s298")
 	if err != nil {
@@ -226,17 +228,22 @@ func TestParallelPatternMetrics(t *testing.T) {
 	}
 	reps, _ := fault.Collapse(c, fault.Universe(c))
 	packed := randomTests(c, 8, 2, false, 3)
-	scheduled := randomTests(c, 2, 2, true, 3)
+	// A TS(I,D1)-shaped session: 128 equal-length tests, each with its
+	// own limited-scan schedule, packs into two full words.
+	scheduled := randomTests(c, 128, 2, true, 3)
+	sparse := alternatingLengths(c, 4)
 	for _, tc := range []struct {
-		label string
-		o     Options
-		tests []scan.Test
-		want  Mode
+		label  string
+		o      Options
+		tests  []scan.Test
+		want   Mode
+		groups int64
 	}{
-		{"forced-fp", Options{Mode: FaultParallel}, packed, FaultParallel},
-		{"forced-pp", Options{Mode: PatternParallel}, scheduled, PatternParallel},
-		{"auto-packed", Options{}, packed, PatternParallel},
-		{"auto-scheduled", Options{}, scheduled, FaultParallel},
+		{"forced-fp", Options{Mode: FaultParallel}, packed, FaultParallel, 0},
+		{"forced-pp", Options{Mode: PatternParallel}, sparse, PatternParallel, 4},
+		{"auto-packed", Options{}, packed, PatternParallel, 1},
+		{"auto-scheduled", Options{}, scheduled, PatternParallel, 2},
+		{"auto-sparse", Options{}, sparse, FaultParallel, 0},
 	} {
 		reg := obs.NewRegistry()
 		tr := trace.New()
@@ -251,7 +258,20 @@ func TestParallelPatternMetrics(t *testing.T) {
 		if got := runSpanMode(t, tr); got != int64(tc.want) {
 			t.Errorf("%s: fsim_run mode = %d, want %d", tc.label, got, tc.want)
 		}
+		if got := reg.Counter("fsim_pattern_groups_total").Value(); got != tc.groups {
+			t.Errorf("%s: fsim_pattern_groups_total = %d, want %d", tc.label, got, tc.groups)
+		}
 	}
+}
+
+// alternatingLengths returns n tests whose lengths alternate between 2
+// and 3, so no two neighbours share a pattern group.
+func alternatingLengths(c *circuit.Circuit, n int) []scan.Test {
+	var tests []scan.Test
+	for i := 0; i < n; i++ {
+		tests = append(tests, randomTests(c, 1, 2+i%2, true, uint64(i))...)
+	}
+	return tests
 }
 
 // runSpanMode returns the mode argument of the single fsim_run span.
@@ -268,7 +288,9 @@ func runSpanMode(t *testing.T, tr *trace.Recorder) int64 {
 
 // TestKernelChoice pins the automatic kernel rule: PPSFP exactly for a
 // densely packed, full-scan, stuck-at, exact-compare session; the
-// fault-parallel kernel everywhere else.
+// fault-parallel kernel everywhere else. Groups are cut by length alone,
+// so per-test limited-scan schedules pack as densely as none at all;
+// only neighbours of different lengths leave words sparse.
 func TestKernelChoice(t *testing.T) {
 	c, err := bmark.Load("s298")
 	if err != nil {
@@ -285,8 +307,9 @@ func TestKernelChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := randomTests(c, 16, 3, false, 1)   // one shape: 2 groups of 8
-	scheduled := randomTests(c, 16, 3, true, 1) // per-test limited-scan schedules
+	packed := randomTests(c, 16, 3, false, 1)   // one length: one group of 16
+	scheduled := randomTests(c, 16, 3, true, 1) // per-test limited-scan schedules, one group
+	sparse := alternatingLengths(c, 16)         // 16 single-test groups
 	for _, tc := range []struct {
 		label string
 		sim   *Simulator
@@ -296,13 +319,14 @@ func TestKernelChoice(t *testing.T) {
 		want  Mode
 	}{
 		{"packed full-scan session", full, packed, stuck, Options{}, PatternParallel},
-		{"per-test limited-scan schedules", full, scheduled, stuck, Options{}, FaultParallel},
+		{"per-test limited-scan schedules", full, scheduled, stuck, Options{}, PatternParallel},
+		{"alternating lengths", full, sparse, stuck, Options{}, FaultParallel},
 		{"partial plan", part, packed, stuck, Options{}, FaultParallel},
 		{"transition faults", full, packed, fault.NewSet(fault.TransitionUniverse(c)), Options{}, FaultParallel},
 		{"MISR", full, packed, stuck, Options{MISRDegree: 16}, FaultParallel},
 		{"zero tests", full, nil, stuck, Options{}, FaultParallel},
 		{"forced fault-parallel", full, packed, stuck, Options{Mode: FaultParallel}, FaultParallel},
-		{"forced pattern-parallel", full, scheduled, stuck, Options{Mode: PatternParallel}, PatternParallel},
+		{"forced pattern-parallel", full, sparse, stuck, Options{Mode: PatternParallel}, PatternParallel},
 	} {
 		if got := tc.sim.Kernel(tc.tests, tc.fs, tc.o); got != tc.want {
 			t.Errorf("%s: kernel %v, want %v", tc.label, got, tc.want)
@@ -310,21 +334,22 @@ func TestKernelChoice(t *testing.T) {
 	}
 }
 
-// TestPPGroups pins the pattern-grouping rules: consecutive same-shape
-// tests pack together, shape changes and the lane width split groups, and
-// a nil Shift schedule groups with an explicit all-zero one.
+// TestPPGroups pins the pattern-grouping rules: consecutive equal-length
+// tests pack together whatever their limited-scan schedules (nil, all
+// zero or shifting), a length change and the lane width split groups.
 func TestPPGroups(t *testing.T) {
 	mk := func(frames int, shift []int) scan.Test {
 		return scan.Test{T: make([]logic.Vec, frames), Shift: shift}
 	}
 	tests := []scan.Test{
 		mk(2, nil),
-		mk(2, []int{0, 0}), // same effective shape as nil
-		mk(2, []int{0, 3}), // schedule change splits
-		mk(3, nil),         // length change splits
+		mk(2, []int{0, 0}), // explicit all-zero schedule
+		mk(2, []int{0, 3}), // a schedule change does not split
+		mk(3, nil),         // a length change splits
+		mk(2, []int{0, 1}), // and so does the change back
 	}
 	gs := ppGroups(tests)
-	want := [][2]int{{0, 2}, {2, 3}, {3, 4}}
+	want := [][2]int{{0, 3}, {3, 4}, {4, 5}}
 	if len(gs) != len(want) {
 		t.Fatalf("ppGroups = %d groups, want %d", len(gs), len(want))
 	}
@@ -336,10 +361,44 @@ func TestPPGroups(t *testing.T) {
 
 	many := make([]scan.Test, 70)
 	for i := range many {
-		many[i] = mk(1, nil)
+		many[i] = mk(2, []int{0, i % 3})
 	}
 	gs = ppGroups(many)
 	if len(gs) != 2 || gs[0].hi != 64 || gs[1].lo != 64 || gs[1].hi != 70 {
 		t.Errorf("lane cap: groups = %+v, want [0,64) and [64,70)", gs)
 	}
+}
+
+// TestParallelPatternLazyTraces drives the over-budget path, where no
+// trace is prebuilt and each worker rebuilds a group's trace in its own
+// arena whenever it switches groups: the verdicts must match the
+// fault-parallel kernel's.
+func TestParallelPatternLazyTraces(t *testing.T) {
+	c, err := bmark.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, _ := fault.Collapse(c, fault.Universe(c))
+	tests := randomTests(c, 130, 3, true, 5) // three groups, mixed shifts
+	_, want := runSession(t, c, reps, tests, Options{Mode: FaultParallel, Workers: 1})
+
+	s := New(c)
+	fs := fault.NewSet(reps)
+	rem := fs.Remaining()
+	eng, err := s.newPatternEngine(tests, ppGroups(tests), fs.Faults, rem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.traces = nil
+	w := s.ppWorker(0, eng)
+	for lo := 0; lo < len(rem); lo += LanesPerWord {
+		batch := rem[lo:min(lo+LanesPerWord, len(rem))]
+		det := w.runBatch(fs.Faults, batch, Options{}, nil)
+		for j, fi := range batch {
+			if det&logic.Lane(j+1) != 0 {
+				fs.State[fi] = fault.Detected
+			}
+		}
+	}
+	diffStates(t, c, reps, "lazy traces", fs.State, want)
 }

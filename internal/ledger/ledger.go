@@ -121,6 +121,10 @@ type Record struct {
 	// both modes at Workers=1. This is the metric perf check gates the
 	// pattern-parallel kernel on (scripts/perf_baseline_fsim.json).
 	PatternSpeedup float64 `json:"pattern_speedup_w1,omitempty"`
+	// PatternSpeedupLimscan is the same ratio on the sweep's TS0 after
+	// Procedure 1 inserted limited scans (I=1, D1=1): every test carries
+	// its own shift schedule, so it times the mixed-shift pattern words.
+	PatternSpeedupLimscan float64 `json:"pattern_speedup_limscan_w1,omitempty"`
 
 	// Points carries a benchfsim mode × worker sweep.
 	Points []BenchPoint `json:"points,omitempty"`
@@ -404,6 +408,9 @@ func (r *Record) Metrics() map[string]float64 {
 	}
 	if r.PatternSpeedup > 0 {
 		m["pattern_speedup_w1"] = r.PatternSpeedup
+	}
+	if r.PatternSpeedupLimscan > 0 {
+		m["pattern_speedup_limscan_w1"] = r.PatternSpeedupLimscan
 	}
 	for _, p := range r.Points {
 		if p.Mode != "" {

@@ -200,11 +200,13 @@ func TestMetricsAndDiff(t *testing.T) {
 // points carrying a fsim mode get mode-qualified ns_per_op keys, legacy
 // records (empty Mode — every ledger line written before modes existed)
 // keep their original names so history stays diffable, and the
-// single-thread pattern-parallel speedup surfaces as its own metric
-// only when the sweep measured it.
+// single-thread pattern-parallel speedups (TS0 and its limited-scan
+// variant) surface as their own metrics only when the sweep measured
+// them.
 func TestMetricsModePoints(t *testing.T) {
 	r := sampleRecord(KindBenchFsim, "s35932", 1)
 	r.PatternSpeedup = 4.9
+	r.PatternSpeedupLimscan = 3.1
 	r.Points = []BenchPoint{
 		{Workers: 1, NsPerOp: 500},
 		{Mode: "fault-parallel", Workers: 1, NsPerOp: 490},
@@ -216,14 +218,17 @@ func TestMetricsModePoints(t *testing.T) {
 		"ns_per_op/mode=fault-parallel/workers=1":   490,
 		"ns_per_op/mode=pattern-parallel/workers=1": 100,
 		"pattern_speedup_w1":                        4.9,
+		"pattern_speedup_limscan_w1":                3.1,
 	} {
 		if m[key] != want {
 			t.Errorf("Metrics[%q] = %v, want %v", key, m[key], want)
 		}
 	}
-	r.PatternSpeedup = 0
-	if _, ok := r.Metrics()["pattern_speedup_w1"]; ok {
-		t.Error("pattern_speedup_w1 emitted for a sweep that did not measure it")
+	r.PatternSpeedup, r.PatternSpeedupLimscan = 0, 0
+	for _, key := range []string{"pattern_speedup_w1", "pattern_speedup_limscan_w1"} {
+		if _, ok := r.Metrics()[key]; ok {
+			t.Errorf("%s emitted for a sweep that did not measure it", key)
+		}
 	}
 }
 

@@ -108,6 +108,19 @@ func (v Vec) OnesCount() int {
 	return c
 }
 
+// OrLane sets lane l of dst[i] for every set bit i of v — one column of
+// the transpose that packs one vector per lane of a word slice. dst must
+// hold at least v.Len() words.
+func (v Vec) OrLane(dst []Word, l int) {
+	lane := Lane(l)
+	for wi, w := range v.words {
+		for w != 0 {
+			dst[wi*64+bits.TrailingZeros64(w)] |= lane
+			w &= w - 1
+		}
+	}
+}
+
 // ShiftRight performs one scan shift in the paper's convention: every bit
 // moves one position to the right (towards higher indices), the supplied
 // fill bit enters at position 0, and the bit that falls off the end

@@ -180,3 +180,30 @@ func TestShiftRightEmpty(t *testing.T) {
 		t.Errorf("empty shift returned %d", out)
 	}
 }
+
+// TestOrLane packs vectors one per lane and reads every bit back.
+func TestOrLane(t *testing.T) {
+	vecs := []Vec{MustVec("10110"), MustVec("00000"), MustVec("11111")}
+	wide := NewVec(130)
+	for _, i := range []int{0, 63, 64, 129} {
+		wide.Set(i, 1)
+	}
+	dst := make([]Word, 5)
+	for l, v := range vecs {
+		v.OrLane(dst, l+61) // lanes 61-63: the top of the word
+	}
+	for l, v := range vecs {
+		for i := 0; i < v.Len(); i++ {
+			if got := Bit(dst[i], l+61); got != v.Get(i) {
+				t.Errorf("vec %d bit %d: lane holds %d, want %d", l, i, got, v.Get(i))
+			}
+		}
+	}
+	wdst := make([]Word, wide.Len())
+	wide.OrLane(wdst, 5)
+	for i := range wdst {
+		if want := Word(wide.Get(i)) << 5; wdst[i] != want {
+			t.Errorf("wide bit %d: word %#x, want %#x", i, wdst[i], want)
+		}
+	}
+}

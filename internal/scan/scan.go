@@ -118,20 +118,27 @@ func (m CostModel) Ncyc0(lA, lB, n int) int64 {
 	return int64(2*n+1)*int64(m.NSV) + int64(n)*int64(lA+lB)
 }
 
-// AverageLS computes the paper's final-column statistic: the average
+// LSTally computes the paper's final-column statistic ls: the average
 // number of limited-scan time units per test vector, over all the tests
-// of all the applied TS(I,D1) sets (TS0 excluded). With no vectors the
-// statistic is 0.
-func AverageLS(testSets [][]Test) float64 {
-	var ls, vecs int64
-	for _, ts := range testSets {
-		for i := range ts {
-			ls += int64(ts[i].LimitedScanUnits())
-			vecs += int64(ts[i].Len())
-		}
+// of all the applied TS(I,D1) sets (TS0 excluded). It counts one set at
+// a time, so a caller need not keep the sets themselves.
+type LSTally struct {
+	units, vecs int64
+}
+
+// Add counts one applied TS(I,D1) set.
+func (t *LSTally) Add(ts []Test) {
+	for i := range ts {
+		t.units += int64(ts[i].LimitedScanUnits())
+		t.vecs += int64(ts[i].Len())
 	}
-	if vecs == 0 {
+}
+
+// Average returns ls over the sets added so far; with no vectors it is
+// 0.
+func (t *LSTally) Average() float64 {
+	if t.vecs == 0 {
 		return 0
 	}
-	return float64(ls) / float64(vecs)
+	return float64(t.units) / float64(t.vecs)
 }

@@ -174,13 +174,16 @@ func TestAverageLS(t *testing.T) {
 	// Paper: ls = 0.50 means a limited scan every 2 time units.
 	a := mkTest("0", []string{"1", "1", "1", "1"}, []int{0, 1, 0, 2})
 	b := mkTest("0", []string{"1", "1", "1", "1"}, []int{0, 0, 0, 3})
-	got := AverageLS([][]Test{{a}, {b}})
+	var ls LSTally
+	ls.Add([]Test{a})
+	ls.Add([]Test{b})
 	want := 3.0 / 8.0
-	if got != want {
-		t.Errorf("AverageLS = %v, want %v", got, want)
+	if got := ls.Average(); got != want {
+		t.Errorf("LSTally.Average = %v, want %v", got, want)
 	}
-	if AverageLS(nil) != 0 {
-		t.Error("AverageLS of nothing should be 0")
+	var empty LSTally
+	if empty.Average() != 0 {
+		t.Error("ls of nothing should be 0")
 	}
 }
 
